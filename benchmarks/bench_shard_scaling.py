@@ -1,4 +1,4 @@
-"""Bench: the scale tier — population x shards sweep + kernel wheel check.
+"""Bench: the scale tier — population x shards sweep.
 
 Sweeps the campaign population against the unsharded coupled baseline and
 the cell-decomposed sharded path, recording wall-clock and deterministic
@@ -89,49 +89,3 @@ def test_shard_scaling():
             f"sharded throughput regressed: {row['events_per_second']:.0f} eps "
             f"vs legacy {row['legacy_events_per_second']:.0f} eps"
         )
-
-
-def test_wheel_is_equivalent_and_recorded():
-    """The timer wheel must never change results; its throughput effect is
-    recorded (it is roughly neutral at canonical heap sizes and exists for
-    timeout-dense configurations, so no speed assertion here)."""
-    import pickle
-
-    from repro.sim.engine import set_wheel_default
-    from repro.users.population import PopulationSpec
-    from repro.workloads.sharding import scoped_id_counters
-    from repro.workloads.synthetic import CampaignArtifact, ScenarioConfig, run_scenario
-
-    config = ScenarioConfig(
-        days=3.0, seed=SEED, population=PopulationSpec(scale=0.05)
-    )
-    legs = {}
-    try:
-        for wheel in (False, True):
-            set_wheel_default(wheel)
-            with scoped_id_counters():
-                artifact, wall, events = _timed(
-                    lambda: CampaignArtifact.from_result(run_scenario(config))
-                )
-            legs[wheel] = (pickle.dumps(artifact), wall, events)
-    finally:
-        set_wheel_default(True)
-
-    assert legs[False][0] == legs[True][0], "wheel changed simulation bytes"
-    _write_bench_json(
-        "wheel_kernel",
-        {
-            "bench": "wheel_kernel",
-            "days": 3.0,
-            "seed": SEED,
-            "host_cores": os.cpu_count() or 1,
-            "wheel_off": {
-                "wall_seconds": round(legs[False][1], 3),
-                "events_per_second": round(legs[False][2] / legs[False][1], 1),
-            },
-            "wheel_on": {
-                "wall_seconds": round(legs[True][1], 3),
-                "events_per_second": round(legs[True][2] / legs[True][1], 1),
-            },
-        },
-    )

@@ -12,10 +12,10 @@ code-version)``, laid out as::
 Entries reuse the result cache's checksummed format (magic + SHA-256 +
 pickle): a torn or bit-flipped artifact is *quarantined* on load and treated
 as a miss — the caller falls back to a live simulation, so corruption can
-slow a sweep down but never change its bytes.  Writes are atomic
-(temp-file + fsync + rename) for the same reason, and the chaos harness's
-``corrupt`` injection applies to artifact writes exactly as it does to
-result-cache writes.
+slow a sweep down but never change its bytes.  Writes are atomic and
+durable (temp-file + fsync + rename + directory fsync) for the same reason,
+and the chaos harness's ``corrupt`` injection applies to artifact writes
+exactly as it does to result-cache writes.
 
 Per-process plumbing: workers activate the store once
 (:func:`ensure_active_store`); loads are memoized per process
@@ -41,6 +41,7 @@ from repro.runner.cache import (
     canonical_params,
     code_version,
     default_cache_dir,
+    fsync_dir,
     read_entry,
 )
 from repro.workloads.synthetic import CampaignArtifact, CampaignKey
@@ -258,7 +259,12 @@ class ArtifactStore:
 
     # -- write side ----------------------------------------------------------
     def save(self, key: CampaignKey, artifact: CampaignArtifact) -> None:
-        """Store atomically (temp file + fsync + rename), then memoize."""
+        """Store atomically, then memoize.
+
+        The entry is fsynced before the rename and its directory after, so a
+        crash right after the campaign stage cannot drop an artifact the run
+        already counted as written.
+        """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
@@ -270,6 +276,7 @@ class ArtifactStore:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
+            fsync_dir(path.parent)
         except BaseException:
             try:
                 os.unlink(tmp_name)

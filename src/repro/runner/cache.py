@@ -43,6 +43,7 @@ __all__ = [
     "canonical_params",
     "code_version",
     "default_cache_dir",
+    "fsync_dir",
     "read_entry",
 ]
 
@@ -94,6 +95,18 @@ def read_entry(path: Path) -> Any:
     if hashlib.sha256(payload).digest() != digest:
         raise ValueError(f"{path}: checksum mismatch")
     return pickle.loads(payload)
+
+
+def fsync_dir(directory: Path) -> None:
+    """Fsync ``directory`` so a rename into it survives a crash."""
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - e.g. platforms without dir fds
+        return
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class CacheStats:
@@ -218,7 +231,7 @@ class ResultCache:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
-            self._fsync_dir()
+            fsync_dir(self.root)
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -227,16 +240,6 @@ class ResultCache:
             raise
         self.stats.writes += 1
         self._chaos_corrupt(path, key)
-
-    def _fsync_dir(self) -> None:
-        try:
-            dir_fd = os.open(self.root, os.O_RDONLY)
-        except OSError:  # pragma: no cover - e.g. platforms without dir fds
-            return
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
 
     def _chaos_corrupt(self, path: Path, key: str) -> None:
         """Chaos-harness hook: maybe damage the entry we just wrote."""

@@ -23,13 +23,7 @@ Quick example::
     sim.run(until=2.0)
 """
 
-from repro.sim.engine import (
-    Simulator,
-    SimulationError,
-    StopSimulation,
-    WHEEL_TICK,
-    set_wheel_default,
-)
+from repro.sim.engine import Simulator, SimulationError, StopSimulation
 from repro.sim.process import (
     AllOf,
     AnyOf,
@@ -39,20 +33,17 @@ from repro.sim.process import (
     Timeout,
 )
 from repro.sim.resources import Request, Resource, Store
-from repro.sim.rng import BufferedStreams, RandomStreams, derive_seed
+from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim import distributions
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BufferedStreams",
     "Event",
     "Interrupt",
     "Process",
     "RandomStreams",
-    "WHEEL_TICK",
     "derive_seed",
-    "set_wheel_default",
     "Request",
     "Resource",
     "SimulationError",

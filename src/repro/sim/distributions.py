@@ -23,7 +23,6 @@ __all__ = [
     "zipf_weights",
     "discrete_choice",
     "log2_cores",
-    "BufferedGenerator",
     "DiurnalProfile",
     "nonhomogeneous_poisson",
 ]
@@ -179,89 +178,3 @@ def nonhomogeneous_poisson(
             t += rng.exponential(1.0 / ceiling)
             if rng.random() <= (base_rate * profile.intensity(t)) / ceiling:
                 yield t
-
-# ---------------------------------------------------------------------------
-# Vectorized pre-sampling
-# ---------------------------------------------------------------------------
-
-
-class BufferedGenerator:
-    """A Generator facade that pre-samples scalar draws in numpy batches.
-
-    User-behavior processes make millions of *scalar* draws (think times,
-    runtimes, coin flips), each paying full numpy dispatch overhead.  This
-    facade routes every distinct ``(method, args)`` scalar call to its own
-    deterministically derived child :class:`numpy.random.Generator` and
-    refills a chunk of draws at a time with one vectorized call, relying on
-    the numpy guarantee that ``gen.method(*args, size=n)`` produces exactly
-    the sequence of ``n`` successive scalar ``gen.method(*args)`` draws.
-
-    Two contracts, enforced by the test suite:
-
-    * *bit-identity*: the draw sequence for a given ``(method, args)`` equals
-      sequential scalar draws from the same child generator;
-    * *chunk invariance*: results are independent of ``chunk`` (a refill
-      boundary is invisible).
-
-    Methods outside the buffered hot set (``choice``, ``weibull``, ...)
-    delegate to a dedicated fallback child via ``__getattr__``.
-    """
-
-    _FALLBACK_KEY = "fallback"
-
-    def __init__(self, seed: int, chunk: int = 256) -> None:
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        self._seed = int(seed)
-        self._chunk = int(chunk)
-        # (method, args) -> [values array, cursor, child generator]
-        self._buffers: dict[tuple, list] = {}
-        self._fallback: np.random.Generator | None = None
-
-    def _child(self, label: str) -> np.random.Generator:
-        from repro.sim.rng import derive_seed
-
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(derive_seed(self._seed, label)))
-        )
-
-    def _next(self, method: str, args: tuple):
-        key = (method, args)
-        state = self._buffers.get(key)
-        if state is None:
-            child = self._child(f"{method}:{args!r}")
-            state = self._buffers[key] = [None, 0, child]
-        values, cursor, child = state
-        if values is None or cursor >= len(values):
-            values = getattr(child, method)(*args, size=self._chunk)
-            state[0] = values
-            cursor = 0
-        state[1] = cursor + 1
-        return values[cursor]
-
-    # -- buffered hot set (scalar signatures only) ---------------------------
-    def random(self):
-        return self._next("random", ())
-
-    def standard_normal(self):
-        return self._next("standard_normal", ())
-
-    def exponential(self, scale=1.0):
-        return self._next("exponential", (float(scale),))
-
-    def uniform(self, low=0.0, high=1.0):
-        return self._next("uniform", (float(low), float(high)))
-
-    def normal(self, loc=0.0, scale=1.0):
-        return self._next("normal", (float(loc), float(scale)))
-
-    def integers(self, low, high=None):
-        if high is None:
-            return self._next("integers", (int(low),))
-        return self._next("integers", (int(low), int(high)))
-
-    # -- everything else ------------------------------------------------------
-    def __getattr__(self, name: str):
-        if self._fallback is None:
-            self._fallback = self._child(self._FALLBACK_KEY)
-        return getattr(self._fallback, name)

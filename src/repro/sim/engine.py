@@ -20,38 +20,9 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "StopSimulation",
-    "WHEEL_TICK",
     "default_tracer",
     "set_default_tracer",
-    "set_wheel_default",
 ]
-
-# Coalesced timer wheel: far-future homogeneous timeouts (think times,
-# backoffs, periodic pumps) dominate the heap at scale.  Instead of one heap
-# entry each, they are appended to a per-tick bucket; a single *marker* entry
-# per active bucket sits in the heap at the bucket's start time with an
-# internal priority that sorts strictly before every real event.  When a
-# marker reaches the top, the bucket's entries — which kept their original
-# ``(time, priority, eid)`` triples — are pushed back into the (now much
-# smaller) heap.  Pop order is therefore exactly the no-wheel order: the
-# total order on ``(time, priority, eid)`` does not depend on when an entry
-# physically entered the heap.
-WHEEL_TICK = 900.0  # seconds per bucket
-_WHEEL_MIN_DELAY = 2.0 * WHEEL_TICK  # guarantees the marker lands in the future
-PRIORITY_WHEEL = -1  # internal: sorts before PRIORITY_URGENT (0)
-
-_wheel_default = True
-
-
-def set_wheel_default(enabled: bool) -> None:
-    """Enable/disable the timer wheel on subsequently constructed simulators.
-
-    The wheel is a pure pop-order-preserving optimisation, so this knob never
-    changes results; the equivalence tests and the before/after benchmarks
-    use it to run the same workload through both kernels.
-    """
-    global _wheel_default
-    _wheel_default = bool(enabled)
 
 # The kernel's tracer slot.  `repro.sim` must stay importable without
 # `repro.obs`, so the tracer is duck-typed: anything with the
@@ -93,19 +64,12 @@ class Simulator:
     arbitrary units; the TeraGrid substrate uses seconds.
     """
 
-    def __init__(
-        self, start_time: float = 0.0, tracer=None, wheel: Optional[bool] = None
-    ) -> None:
+    def __init__(self, start_time: float = 0.0, tracer=None) -> None:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_process: Optional[Process] = None
         self._tracer = tracer if tracer is not None else _default_tracer
-        # Timer wheel state: bucket index -> list of deferred heap entries.
-        # ``wheel=False`` disables coalescing (used by the equivalence tests).
-        self._wheel_enabled = _wheel_default if wheel is None else bool(wheel)
-        self._wheel: dict[int, list[tuple[float, int, int, Event]]] = {}
-        self._wheel_count = 0
 
     # -- introspection -------------------------------------------------------
     @property
@@ -125,15 +89,12 @@ class Simulator:
         heap has no "next event time", and silently returning a sentinel
         (or leaking ``IndexError``) hid bugs in callers.
         """
-        self._settle()
         if not self._heap:
             raise SimulationError("peek() on an empty event heap")
         return self._heap[0][0]
 
     def __len__(self) -> int:
-        # Logical pending-event count: heap entries minus one marker per
-        # active wheel bucket, plus the bucketed entries themselves.
-        return len(self._heap) - len(self._wheel) + self._wheel_count
+        return len(self._heap)
 
     # -- event factories ------------------------------------------------------
     def event(self) -> Event:
@@ -165,52 +126,15 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         when = self._now + delay
-        if (
-            self._wheel_enabled
-            and priority == PRIORITY_NORMAL
-            and delay >= _WHEEL_MIN_DELAY
-            and type(event) is Timeout
-        ):
-            # delay >= 2 ticks guarantees bucket_start > now, so the marker
-            # itself is never scheduled into the past.
-            bucket = int(when // WHEEL_TICK)
-            entries = self._wheel.get(bucket)
-            if entries is None:
-                self._wheel[bucket] = entries = []
-                heapq.heappush(
-                    self._heap,
-                    (bucket * WHEEL_TICK, PRIORITY_WHEEL, next(self._eid), bucket),  # type: ignore[arg-type]
-                )
-            entries.append((when, priority, next(self._eid), event))
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap, (when, priority, next(self._eid), event))
+        heapq.heappush(self._heap, (when, priority, next(self._eid), event))
         if self._tracer is not None:
-            self._tracer.on_schedule(len(self))
-
-    def _settle(self) -> None:
-        """Flush wheel buckets whose marker has reached the top of the heap.
-
-        Bucketed entries kept their original ``(time, priority, eid)``
-        triples, and the marker priority sorts before every real event at
-        the bucket's start time, so flushing here — before any pop the
-        caller observes — reproduces the exact no-wheel pop order.
-        """
-        heap = self._heap
-        while heap and heap[0][1] == PRIORITY_WHEEL:
-            _when, _priority, _eid, bucket = heapq.heappop(heap)
-            entries = self._wheel.pop(bucket)  # type: ignore[arg-type]
-            self._wheel_count -= len(entries)
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
+            self._tracer.on_schedule(len(self._heap))
 
     # -- run loop ----------------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
         if not self._heap:
             raise SimulationError("step() on an empty event heap")
-        self._settle()
         when, _priority, _eid, event = heapq.heappop(self._heap)
         self._now = when
         tracer = self._tracer
@@ -285,12 +209,7 @@ class Simulator:
             raise SimulationError(
                 f"run(until={horizon}) is in the past (now={self._now})"
             )
-        while True:
-            # Settle before testing the horizon: a wheel marker's time is the
-            # bucket *start*, which may precede every real entry in it.
-            self._settle()
-            if not self._heap or self._heap[0][0] > horizon:
-                break
+        while self._heap and self._heap[0][0] <= horizon:
             try:
                 self.step()
             except StopSimulation:

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["BufferedStreams", "RandomStreams", "derive_seed"]
+__all__ = ["RandomStreams", "derive_seed"]
 
 #: Seeds are drawn from a 64-bit space; SHA-256 keeps the derivation stable
 #: across platforms and Python hash randomization (unlike ``hash()``).
@@ -75,45 +75,3 @@ class RandomStreams:
     def names(self) -> tuple[str, ...]:
         """Names of streams created so far."""
         return tuple(self._streams)
-
-
-class BufferedStreams(RandomStreams):
-    """Named streams backed by chunked vectorized pre-sampling.
-
-    Drop-in for :class:`RandomStreams` where callers only need the
-    Generator *methods* (all simulator components qualify): each named
-    stream is a :class:`repro.sim.distributions.BufferedGenerator` whose
-    per-distribution substream seeds derive from ``(master_seed, name)``,
-    so the mapping stays order-independent and reproducible.  Used by the
-    sharded scale tier; draw values intentionally differ from the plain
-    sequential-interleaved :class:`RandomStreams` sequences (one shared
-    cursor per name cannot be both interleaved and batched), which is why
-    legacy unsharded runs keep :class:`RandomStreams`.
-    """
-
-    def __init__(self, seed: int = 0, chunk: int = 256) -> None:
-        super().__init__(seed)
-        self._chunk = int(chunk)
-        self._buffered: dict[str, object] = {}
-
-    def stream(self, name: str):  # type: ignore[override]
-        generator = self._buffered.get(name)
-        if generator is None:
-            from repro.sim.distributions import BufferedGenerator
-
-            generator = BufferedGenerator(
-                derive_seed(self.seed, f"buffered:{name}"), chunk=self._chunk
-            )
-            self._buffered[name] = generator
-        return generator
-
-    def spawn(self, key: str | int) -> "BufferedStreams":
-        return BufferedStreams(
-            seed=derive_seed(self.seed, str(key)), chunk=self._chunk
-        )
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._buffered
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._buffered)

@@ -24,9 +24,14 @@ Three determinism properties carry the tier:
   merged bytes.
 * **Canonical-scale identity** — a campaign at the canonical population
   scale has exactly one cell, and the single-cell path runs the plain
-  coupled :func:`run_scenario` (no shard filter, no buffered streams), so
-  sharded execution of the standard T-table sweep is byte-identical to the
-  unsharded baseline, not merely statistically equivalent.
+  coupled :func:`run_scenario` (no shard filter), so sharded execution of
+  the standard T-table sweep is byte-identical to the unsharded baseline,
+  not merely statistically equivalent.
+
+Every cell draws from the same :class:`RandomStreams` as the coupled run,
+so above canonical scale a multi-cell campaign differs from the coupled
+campaign by queue decoupling (each cell's schedulers see only that cell's
+users), not by a second RNG semantics.
 
 The merge renumbers ids with a per-cell stride/prefix (cells were minted
 independently from 1) and emits the combined usage-record stream in the
@@ -226,8 +231,8 @@ def simulate_cell_config(
     With a single cell this is the plain coupled :func:`run_scenario` —
     identical physics, identical bytes (modulo the scoped ids) to the
     legacy unsharded run.  With more, the cell builds the full shared world
-    and activates only its own users, drawing through the vectorized
-    pre-sampling facade (see :class:`repro.sim.rng.BufferedStreams`).
+    and activates only its own users; it draws from the same named
+    :class:`~repro.sim.rng.RandomStreams` as the coupled run.
     """
     if config.shard is not None:
         raise ValueError(f"config already carries a shard assignment: {config.shard}")

@@ -269,17 +269,11 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
         config = replace(config, **overrides)
 
     sim = Simulator()
-    if config.shard is not None:
-        # Scale tier: population cells draw through the vectorized
-        # pre-sampling facade.  Every cell of a campaign uses the same master
-        # seed, so the shared world (population, gateways, outages) is
-        # identical across cells and cell outputs are independent of how
-        # cells are grouped onto stage-1 tasks.
-        from repro.sim.rng import BufferedStreams
-
-        streams: RandomStreams = BufferedStreams(seed=config.seed)
-    else:
-        streams = RandomStreams(seed=config.seed)
+    # Every population cell of a sharded campaign uses the same master seed,
+    # so the shared world (population, gateways, outages) is identical across
+    # cells and cell outputs are independent of how cells are grouped onto
+    # stage-1 tasks.
+    streams = RandomStreams(seed=config.seed)
     ledger = infra.AllocationLedger()
     central = CentralAccountingDB()
     network = infra.Network(sim)

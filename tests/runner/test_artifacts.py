@@ -1,6 +1,8 @@
 """Tests for the campaign artifact store and the CampaignKey/Artifact types."""
 
+import os
 import pickle
+import stat
 
 import pytest
 
@@ -125,6 +127,21 @@ def test_has_and_load_miss(tmp_path, key):
 def test_save_makes_key_visible_to_other_store_instances(tmp_path, key, artifact):
     ArtifactStore(root=tmp_path).save(key, artifact)
     assert ArtifactStore(root=tmp_path).has(key)
+
+
+def test_save_fsyncs_the_entry_then_its_directory(tmp_path, key, artifact, monkeypatch):
+    """Regression: the rename was not made durable, so a crash right after
+    the campaign stage could lose an artifact already counted as written."""
+    synced = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    ArtifactStore(root=tmp_path).save(key, artifact)
+    assert synced == ["file", "dir"]
 
 
 def test_loads_are_memoized_per_store(tmp_path, key, artifact):

@@ -135,71 +135,3 @@ def test_modulated_poisson_concentrates_at_peak():
 def test_poisson_rate_validation():
     with pytest.raises(ValueError):
         next(nonhomogeneous_poisson(rng(), base_rate=0.0))
-
-
-# -- vectorized pre-sampling --------------------------------------------------
-
-from repro.sim.distributions import BufferedGenerator  # noqa: E402
-from repro.sim.rng import derive_seed  # noqa: E402
-
-
-def _child(seed, label):
-    """The same derivation BufferedGenerator uses for its children."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(derive_seed(seed, label))))
-
-
-def test_buffered_draws_are_bit_identical_to_scalar_draws():
-    buffered = BufferedGenerator(seed=42, chunk=7)
-    scalar = _child(42, "exponential:(3.0,)")
-    assert [buffered.exponential(3.0) for _ in range(25)] == \
-           [scalar.exponential(3.0) for _ in range(25)]
-
-
-def test_buffered_draws_are_chunk_invariant():
-    draws = lambda chunk: [
-        op(gen)
-        for gen in [BufferedGenerator(seed=7, chunk=chunk)]
-        for op in [
-            lambda g: g.random(), lambda g: g.exponential(2.0),
-            lambda g: g.uniform(1.0, 5.0), lambda g: g.normal(10.0, 2.0),
-            lambda g: g.standard_normal(), lambda g: g.integers(0, 100),
-        ] * 20
-    ]
-    assert draws(1) == draws(5) == draws(256)
-
-
-def test_buffered_streams_are_per_signature_independent():
-    """Interleaving draws of one (method, args) never shifts another."""
-    solo = BufferedGenerator(seed=3, chunk=4)
-    alone = [solo.exponential(1.5) for _ in range(10)]
-
-    mixed = BufferedGenerator(seed=3, chunk=4)
-    interleaved = []
-    for _ in range(10):
-        mixed.random()
-        mixed.uniform(0.0, 2.0)
-        interleaved.append(mixed.exponential(1.5))
-    assert alone == interleaved
-
-
-def test_buffered_distinct_args_use_distinct_children():
-    gen = BufferedGenerator(seed=11)
-    a = [gen.exponential(1.0) for _ in range(5)]
-    b = [gen.exponential(2.0) for _ in range(5)]
-    assert a != b
-    # ...and each matches its own dedicated child stream.
-    child = _child(11, "exponential:(1.0,)")
-    assert a == [child.exponential(1.0) for _ in range(5)]
-
-
-def test_buffered_fallback_delegates_unbuffered_methods():
-    gen = BufferedGenerator(seed=5)
-    fallback = _child(5, "fallback")
-    assert gen.choice([10, 20, 30]) == fallback.choice([10, 20, 30])
-    assert gen.weibull(1.5) == fallback.weibull(1.5)
-
-
-def test_buffered_rejects_bad_chunk():
-    with pytest.raises(ValueError):
-        BufferedGenerator(seed=1, chunk=0)
