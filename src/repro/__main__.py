@@ -8,22 +8,24 @@ Usage::
     python -m repro run R1 --jobs 4     # fan its replicates over 4 workers
     python -m repro run-all --fast      # the full suite, parallel + cached
     python -m repro run-all --resume 20260806-101500-ab12cd
-    python -m repro cache info          # result-cache location and size
+    python -m repro cache info          # the store: entries per namespace
     python -m repro taxonomy            # print the modality taxonomy
     python -m repro profile T2          # event-kernel hot-path table
     python -m repro stats               # render the latest telemetry sidecar
 
 ``run-all`` and ``run`` accept ``--jobs N`` (default: ``REPRO_JOBS`` env,
-then CPU count), ``--no-cache``, ``--task-timeout SECONDS``, ``--retries N``,
-``--no-artifacts`` / ``--artifacts-dir`` (the campaign artifact store behind
-the runner's simulate-once/measure-everywhere two-stage DAG) and
-``--timings`` (per-stage wall-clock and campaign dedup counters on stderr).  ``run-all`` additionally journals its progress under
+then CPU count), ``--cache-dir`` / ``--no-cache`` (the checksummed store:
+task results plus the campaign artifacts behind the runner's
+simulate-once/measure-everywhere two-stage DAG), ``--task-timeout SECONDS``,
+``--retries N`` and ``--timings`` (per-stage wall-clock and campaign dedup
+counters on stderr).  ``run-all`` additionally journals its progress under
 ``<runs-dir>/<run-id>/journal.jsonl`` (``--runs-dir``, default ``runs/`` or
 ``REPRO_RUNS_DIR``) so an interrupted sweep can be continued with
 ``--resume <run-id>`` — completed tasks are skipped via the result cache
-and only pending or failed ones re-run.  Reports are written without
-timing lines so the bytes are identical at any ``--jobs`` value; timing,
-cache and fault-tolerance summaries go to stderr instead.
+and only pending or failed ones re-run.  ``cache info|stats|clear|gc``
+inspect, empty or prune both namespaces of the store.  Reports are written
+without timing lines so the bytes are identical at any ``--jobs`` value;
+timing, cache and fault-tolerance summaries go to stderr instead.
 
 Chaos testing: set ``REPRO_CHAOS=kill:p,hang:p,corrupt:p`` to inject
 worker kills, hangs and cache corruption; the sweep must still complete
@@ -42,21 +44,17 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: REPRO_JOBS or CPU count)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every task; do not read or write the result cache")
+                        help="recompute every task and simulate every campaign "
+                             "live; do not read or write the store")
     parser.add_argument("--cache-dir", default=None,
-                        help="result-cache directory (default: REPRO_CACHE_DIR or ~/.cache/repro)")
+                        help="store root for task results and campaign artifacts "
+                             "(default: REPRO_CACHE_DIR or ~/.cache/repro)")
     parser.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
                         help="wall-clock limit per task; overruns are retried, "
                              "then recorded as failures (default: unlimited)")
     parser.add_argument("--retries", type=int, default=4, metavar="N",
                         help="retries per task after transient failures — worker "
                              "crashes and timeouts, never task exceptions (default: 4)")
-    parser.add_argument("--no-artifacts", action="store_true",
-                        help="disable the campaign artifact store: every task "
-                             "re-simulates its campaign (slower, same bytes)")
-    parser.add_argument("--artifacts-dir", default=None,
-                        help="campaign artifact store directory (default: "
-                             "<cache-dir>/artifacts or REPRO_ARTIFACT_DIR)")
     parser.add_argument("--timings", action="store_true",
                         help="print per-stage wall-clock and campaign dedup "
                              "counters to stderr")
@@ -83,12 +81,10 @@ def _build_runner(args, journal=None, resume_keys=(), run_id=None):
     chaos_from_env()  # fail fast on a malformed REPRO_CHAOS spec
     if args.retries < 0:
         raise ValueError("--retries must be >= 0")
-    cache = None
-    if not args.no_cache and args.cache_dir:
-        cache = ResultCache(root=args.cache_dir)
-    artifacts = None
-    if not args.no_cache and not args.no_artifacts:
-        artifacts = ArtifactStore(root=_artifact_root(args))
+    cache = artifacts = None
+    if not args.no_cache:
+        root = _store_root(args)
+        cache, artifacts = ResultCache(root=root), ArtifactStore(root=root)
     return ParallelRunner(
         jobs=args.jobs,
         cache=cache,
@@ -106,17 +102,30 @@ def _build_runner(args, journal=None, resume_keys=(), run_id=None):
     )
 
 
-def _artifact_root(args):
-    """``--artifacts-dir`` > ``<--cache-dir>/artifacts`` > env/default."""
+def _store_root(args):
+    """``--cache-dir``, else ``REPRO_CACHE_DIR``, else the user cache dir."""
     from pathlib import Path
 
-    from repro.runner import default_artifact_dir
+    from repro.runner import default_cache_dir
 
-    if getattr(args, "artifacts_dir", None):
-        return Path(args.artifacts_dir)
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir) / "artifacts"
-    return default_artifact_dir()
+    return Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+
+
+def _print_store_rows(namespaces) -> None:
+    """``cache info`` / ``cache stats``: one row per namespace of the store."""
+    print(f"store dir:    {namespaces[0].root}")
+    print(f"code version: {namespaces[0].version}")
+    for store in namespaces:
+        print(f"{store.namespace + ':':14s}{len(store.entries())} entries "
+              f"({len(store.current_entries())} current), "
+              f"{len(store.quarantined_entries())} quarantined, "
+              f"{store.size_bytes()} bytes")
+
+
+def _tally(namespaces, counts) -> str:
+    return ", ".join(
+        f"{count} {store.namespace}" for store, count in zip(namespaces, counts)
+    )
 
 
 def _fault_note(runner) -> str:
@@ -301,19 +310,20 @@ def main(argv: list[str] | None = None) -> int:
 
     cache_parser = sub.add_parser(
         "cache",
-        help="inspect or clear the result cache and campaign artifact store",
+        help="inspect, clear or prune the store (task results and campaign "
+             "artifacts)",
     )
     cache_parser.add_argument(
         "action", choices=["info", "clear", "stats", "gc"],
-        help="info/clear: the result cache; stats: result cache + artifact "
-             "store counts and bytes; gc: prune artifacts whose code-version "
-             "no longer matches the working tree",
+        help="info: entries, current-version entries, quarantined entries and "
+             "bytes per namespace; stats: the same plus the latest run's hit "
+             "rates; clear: delete every entry, quarantined ones included; gc: "
+             "prune entries whose code version no longer matches the working "
+             "tree",
     )
     cache_parser.add_argument("--cache-dir", default=None,
-                              help="cache directory (default: REPRO_CACHE_DIR or ~/.cache/repro)")
-    cache_parser.add_argument("--artifacts-dir", default=None,
-                              help="artifact store directory (default: "
-                                   "<cache-dir>/artifacts or REPRO_ARTIFACT_DIR)")
+                              help="store root (default: REPRO_CACHE_DIR or "
+                                   "~/.cache/repro)")
     cache_parser.add_argument("--runs-dir", default=None,
                               help="run-journal directory searched for the "
                                    "latest telemetry sidecar (default: "
@@ -524,36 +534,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "cache":
         from repro.runner import ArtifactStore, ResultCache
 
-        cache = ResultCache(root=args.cache_dir) if args.cache_dir else ResultCache()
+        root = _store_root(args)
+        namespaces = (ResultCache(root=root), ArtifactStore(root=root))
         if args.action == "clear":
-            removed = cache.clear()
-            print(f"removed {removed} cached results from {cache.root}")
-        elif args.action == "stats":
-            store = ArtifactStore(root=_artifact_root(args))
-            print(f"cache dir:    {cache.root}")
-            print(f"entries:      {len(cache.entries())}")
-            print(f"size:         {cache.size_bytes()} bytes")
-            print(f"artifact dir: {store.root}")
-            print(f"artifacts:    {len(store.entries())}"
-                  f" ({len(store.current_entries())} current code version)")
-            print(f"quarantined:  {len(store.quarantined_entries())}")
-            print(f"artifact size: {store.size_bytes()} bytes")
-            print(f"code version: {store.version}")
-            _print_last_run_rates(args)
+            counts = [store.clear() for store in namespaces]
+            print(f"removed from {root}: {_tally(namespaces, counts)}")
         elif args.action == "gc":
-            store = ArtifactStore(root=_artifact_root(args))
-            removed = store.gc()
-            print(
-                f"pruned {removed} stale artifact(s) from {store.root} "
-                f"(kept code version {store.version})"
-            )
+            counts = [store.gc() for store in namespaces]
+            print(f"pruned stale code versions from {root}: "
+                  f"{_tally(namespaces, counts)} "
+                  f"(kept {namespaces[0].version})")
         else:
-            entries = cache.entries()
-            print(f"cache dir:    {cache.root}")
-            print(f"entries:      {len(entries)}")
-            print(f"quarantined:  {len(cache.quarantined_entries())}")
-            print(f"size:         {cache.size_bytes()} bytes")
-            print(f"code version: {cache.version}")
+            _print_store_rows(namespaces)
+            if args.action == "stats":
+                _print_last_run_rates(args)
         return 0
 
     from repro.experiments import registry, run_experiment
@@ -681,8 +675,7 @@ def main(argv: list[str] | None = None) -> int:
         knobs["seed"] = args.seed
     use_runner = (
         args.jobs is not None or args.no_cache or args.cache_dir is not None
-        or args.task_timeout is not None or args.no_artifacts
-        or args.artifacts_dir is not None or args.timings
+        or args.task_timeout is not None or args.timings
         or args.trace is not None or args.shards is not None
     )
     try:

@@ -106,8 +106,8 @@ class ExperimentTask:
     ``params`` must be plain picklable data (they cross the process
     boundary and are hashed into the result-cache key); ``seed`` is the
     master seed the unit simulates with, recorded separately so the cache
-    key scheme ``(experiment, params-hash, seed, code-version)`` stays
-    explicit even when the seed also appears inside ``params``.
+    key scheme ``(experiment, params-hash, seed)`` stays explicit even when
+    the seed also appears inside ``params``.
     """
 
     experiment_id: str
@@ -162,7 +162,7 @@ def _default_plan(experiment_id: str, **knobs) -> list[ExperimentTask]:
     """Synthesized one-task plan for experiments without a declared one."""
     # The seed field is part of the cache key; when the experiment runs on
     # its internal default seed (no knob given) any stable value works —
-    # the default itself is code, covered by the code-version key part.
+    # the default itself is code, covered by the store's code version.
     seed = int(knobs.get("seed", CAMPAIGN_SEED))
     return [
         ExperimentTask(

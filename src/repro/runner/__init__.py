@@ -5,16 +5,18 @@ via :func:`repro.experiments.base.register_tasks`, or a synthesized
 single-task plan) and executes them either inline (``jobs=1``) or across a
 :class:`concurrent.futures.ProcessPoolExecutor`.  Partial results are merged
 in task-index order, so the assembled output is byte-identical regardless of
-worker count or scheduling order.  An on-disk :class:`ResultCache` keyed by
-``(experiment, params-hash, seed, code-version)`` makes re-running a sweep
-recompute only what changed.
+worker count or scheduling order.  One checksummed on-disk store
+(:mod:`repro.runner.cache`) holds two namespaces under one root: task
+results (:class:`ResultCache`, keyed by ``(experiment, params-hash, seed)``
+within a code version), so re-running a sweep recomputes only what changed,
+and campaign artifacts (:class:`ArtifactStore`).
 
 With an :class:`ArtifactStore` attached, execution becomes a two-stage task
 DAG: the distinct campaigns the planned tasks depend on (declared via
 :func:`repro.experiments.base.register_campaigns`) are simulated exactly
-once each into checksummed on-disk :class:`CampaignArtifact` snapshots, and
-the measurement tasks then fan out over the stored artifacts instead of
-re-simulating per task — see :mod:`repro.runner.artifacts`.
+once each into :class:`CampaignArtifact` snapshots, and the measurement
+tasks then fan out over the stored artifacts instead of re-simulating per
+task — see :mod:`repro.runner.artifacts`.
 
 Fault tolerance (see :mod:`repro.runner.parallel` for the full contract):
 transient infrastructure failures — killed workers, wall-clock timeouts,
@@ -26,12 +28,8 @@ task exceptions are contained as structured :class:`TaskFailure` records; a
 injects exactly these failures to prove it.
 """
 
-from repro.runner.artifacts import (
-    ArtifactStats,
-    ArtifactStore,
-    default_artifact_dir,
-)
-from repro.runner.cache import CacheStats, ResultCache, code_version
+from repro.runner.artifacts import ArtifactStats, ArtifactStore
+from repro.runner.cache import CacheStats, ResultCache, code_version, default_cache_dir
 from repro.runner.chaos import ChaosConfig, chaos_from_env
 from repro.runner.journal import RunJournal, default_runs_dir, new_run_id, task_key
 from repro.runner.parallel import ParallelRunner, resolve_jobs
@@ -49,7 +47,7 @@ __all__ = [
     "TaskFailure",
     "chaos_from_env",
     "code_version",
-    "default_artifact_dir",
+    "default_cache_dir",
     "default_runs_dir",
     "new_run_id",
     "resolve_jobs",

@@ -1,21 +1,16 @@
-"""On-disk campaign artifact store: simulate once, measure everywhere.
+"""The ``artifacts`` namespace of the store: simulate once, measure everywhere.
 
 The parallel runner's campaign stage serializes each distinct campaign's
 :class:`~repro.workloads.synthetic.CampaignArtifact` here so the measurement
 stage — running in any worker process — can load it instead of re-simulating.
-The store is keyed like the result cache, ``(campaign-knobs-hash, seed,
-code-version)``, laid out as::
+Entries live in the checksummed store of :mod:`repro.runner.cache`, keyed by
+``(campaign-knobs-hash, seed, code-version)``::
 
-    <root>/<code-version>/<knobs-hash>-s<seed>.pkl
-    <root>/quarantine/            # damaged entries, moved aside on read
+    <root>/artifacts/<code-version>/<knobs-hash>-s<seed>.pkl
 
-Entries reuse the result cache's checksummed format (magic + SHA-256 +
-pickle): a torn or bit-flipped artifact is *quarantined* on load and treated
-as a miss — the caller falls back to a live simulation, so corruption can
-slow a sweep down but never change its bytes.  Writes are atomic and
-durable (temp-file + fsync + rename + directory fsync) for the same reason,
-and the chaos harness's ``corrupt`` injection applies to artifact writes
-exactly as it does to result-cache writes.
+A torn or bit-flipped artifact is quarantined on load and treated as a
+miss: the caller falls back to a live simulation, so corruption can slow a
+sweep down but never change its bytes.
 
 Per-process plumbing: workers activate the store once
 (:func:`ensure_active_store`); loads are memoized per process
@@ -29,51 +24,28 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import ClassVar, Optional
 
-from repro.runner.cache import (
-    canonical_params,
-    code_version,
-    default_cache_dir,
-    fsync_dir,
-    read_entry,
-)
+from repro.runner.cache import StoreNamespace, canonical_params
 from repro.workloads.synthetic import CampaignArtifact, CampaignKey
 
 __all__ = [
     "ArtifactStats",
     "ArtifactStore",
-    "ARTIFACT_DIR_ENV",
     "STATS",
     "active_store",
     "activated_store",
     "campaign_stage",
-    "default_artifact_dir",
     "ensure_active_store",
     "in_campaign_stage",
     "record_metrics",
     "stats_snapshot",
     "stats_delta",
 ]
-
-ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
-QUARANTINE_DIR = "quarantine"
-_SUFFIX = ".pkl"
-_MAGIC = b"RPC1"  # same framing as the result cache
-
-
-def default_artifact_dir() -> Path:
-    """``REPRO_ARTIFACT_DIR`` env, else ``<result-cache-dir>/artifacts``."""
-    env = os.environ.get(ARTIFACT_DIR_ENV)
-    if env:
-        return Path(env)
-    return default_cache_dir() / "artifacts"
 
 
 @dataclass
@@ -191,15 +163,19 @@ def note_simulation() -> None:
 # -- the store itself ----------------------------------------------------------
 
 @dataclass
-class ArtifactStore:
-    """Checksummed pickle-per-campaign store; see module docstring."""
+class ArtifactStore(StoreNamespace):
+    """The ``artifacts`` namespace: one entry per campaign (or cell)."""
 
-    root: Path = field(default_factory=default_artifact_dir)
-    version: str = field(default_factory=code_version)
+    namespace: ClassVar[str] = "artifacts"
 
     def __post_init__(self) -> None:
-        self.root = Path(self.root)
+        super().__post_init__()
         self._memo: dict[CampaignKey, CampaignArtifact] = {}
+
+    @property
+    def stats(self) -> ArtifactStats:
+        """The process-global :data:`STATS`, where writes and quarantines count."""
+        return STATS
 
     # -- keys ----------------------------------------------------------------
     @staticmethod
@@ -209,12 +185,7 @@ class ArtifactStore:
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
     def path_for(self, key: CampaignKey) -> Path:
-        name = f"{self.knobs_hash(key)}-s{key.seed}{_SUFFIX}"
-        return self.root / self.version / name
-
-    @property
-    def quarantine_root(self) -> Path:
-        return self.root / QUARANTINE_DIR
+        return self.entry_path(f"{self.knobs_hash(key)}-s{key.seed}")
 
     # -- read side -----------------------------------------------------------
     def has(self, key: CampaignKey) -> bool:
@@ -229,137 +200,27 @@ class ArtifactStore:
         memoized = self._memo.get(key)
         if memoized is not None:
             return memoized
-        path = self.path_for(key)
-        if not path.exists():
-            return None
         started = time.monotonic()
-        try:
-            artifact = read_entry(path)
-            if not isinstance(artifact, CampaignArtifact):
-                raise ValueError(f"{path}: not a CampaignArtifact")
-        except Exception:
-            self._quarantine(path)
+        hit, artifact = self._read(self.path_for(key), CampaignArtifact)
+        if not hit:
             return None
         STATS.loads += 1
         STATS.load_seconds += time.monotonic() - started
         self._memo[key] = artifact
         return artifact
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a damaged artifact aside (forensics beat deletion)."""
-        STATS.quarantined += 1
-        try:
-            self.quarantine_root.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self.quarantine_root / path.name)
-        except OSError:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
     # -- write side ----------------------------------------------------------
     def save(self, key: CampaignKey, artifact: CampaignArtifact) -> None:
-        """Store atomically, then memoize.
+        """Store durably, then memoize.
 
-        The entry is fsynced before the rename and its directory after, so a
-        crash right after the campaign stage cannot drop an artifact the run
-        already counted as written.
+        An entry the chaos harness corrupted is not memoized: this process
+        must see the same damaged bytes as every other one.
         """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = _MAGIC + hashlib.sha256(payload).digest() + payload
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=_SUFFIX + ".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-            fsync_dir(path.parent)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        STATS.writes += 1
-        self._memo[key] = artifact
-        self._chaos_corrupt(path)
-
-    def _chaos_corrupt(self, path: Path) -> None:
-        """Chaos-harness hook: maybe damage the artifact we just wrote."""
-        from repro.runner.chaos import chaos_from_env, maybe_corrupt_entry
-
-        config = chaos_from_env()
-        if config.corrupt:
-            # The path stem is the stable (knobs-hash, seed) identity.
-            if maybe_corrupt_entry(config, path, f"artifact/{path.stem}"):
-                # A corrupted entry must not be served from this process's
-                # memo either, or the damage would go unnoticed here while
-                # other workers quarantine it — drop the memo so every
-                # process sees the same (damaged) bytes.
-                self._memo.pop(self._key_of(path), None)
-
-    def _key_of(self, path: Path) -> Optional[CampaignKey]:
-        for key in self._memo:
-            if self.path_for(key) == path:
-                return key
-        return None
-
-    # -- maintenance ---------------------------------------------------------
-    def entries(self) -> list[Path]:
-        """Every stored artifact, current code version or not."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path
-            for path in self.root.glob(f"*/*{_SUFFIX}")
-            if path.parent.name != QUARANTINE_DIR
-        )
-
-    def current_entries(self) -> list[Path]:
-        version_dir = self.root / self.version
-        if not version_dir.is_dir():
-            return []
-        return sorted(version_dir.glob(f"*{_SUFFIX}"))
-
-    def quarantined_entries(self) -> list[Path]:
-        if not self.quarantine_root.is_dir():
-            return []
-        return sorted(self.quarantine_root.glob(f"*{_SUFFIX}"))
-
-    def size_bytes(self) -> int:
-        return sum(path.stat().st_size for path in self.entries())
-
-    def gc(self) -> int:
-        """Prune artifacts whose code-version no longer matches; return count.
-
-        The version is the directory name, so a stale artifact is
-        recognizable without deserializing it; emptied version directories
-        are removed too.
-        """
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        for version_dir in sorted(self.root.iterdir()):
-            if not version_dir.is_dir() or version_dir.name in (
-                self.version, QUARANTINE_DIR
-            ):
-                continue
-            for path in version_dir.glob(f"*{_SUFFIX}"):
-                path.unlink(missing_ok=True)
-                removed += 1
-            try:
-                version_dir.rmdir()
-            except OSError:
-                pass
-        return removed
+        # The path stem is the stable (knobs-hash, seed) identity.
+        if not self._write(path, artifact, chaos_site=f"artifact/{path.stem}"):
+            self._memo[key] = artifact
 
     def clear(self) -> int:
-        removed = 0
-        for path in self.entries() + self.quarantined_entries():
-            path.unlink(missing_ok=True)
-            removed += 1
         self._memo.clear()
-        return removed
+        return super().clear()

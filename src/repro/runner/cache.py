@@ -1,27 +1,33 @@
-"""On-disk result cache for experiment tasks.
+"""One checksummed on-disk store with two namespaces: results and artifacts.
 
-Layout: one checksummed pickle per task under the cache root, named by the
-hex cache key.  The key is ``sha256(experiment_id | params-json | seed |
-code-version)`` where *params-json* is a canonical JSON rendering (sorted
-keys, tuples as lists) and *code-version* is a digest over every ``repro``
-source file — so editing any module invalidates the whole cache rather than
-serving results computed by old code.
+Layout under the store root (``--cache-dir``, else ``REPRO_CACHE_DIR``,
+else ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``)::
 
-Entry format (robustness first — the cache must never crash a sweep):
+    <root>/results/<code-version>/<result-key>.pkl         # ResultCache
+    <root>/artifacts/<code-version>/<knobs-hash>-s<seed>.pkl  # ArtifactStore
+    <root>/quarantine/<namespace>/<name>.pkl               # damaged entries
+
+*code-version* is a digest over every ``repro`` source file, so editing any
+module starts a fresh version directory instead of serving entries computed
+by old code, and :meth:`StoreNamespace.gc` prunes the other versions without
+unpickling anything.  The result key is ``sha256(experiment_id |
+params-json | seed)``, where *params-json* is a canonical JSON rendering
+(sorted keys, tuples as lists).
+
+Entry format (robustness first — the store must never crash a sweep):
 
 * bytes 0–3: magic ``b"RPC1"``;
 * bytes 4–35: SHA-256 of the payload;
 * bytes 36–: the pickled payload.
 
 Reads verify the checksum; a damaged or foreign entry is **quarantined**
-(moved into ``<root>/quarantine/``) and counted, never raised — the caller
-just sees a miss and recomputes.  Writes go to a temp file *in the cache
-directory* (same filesystem, so the final rename is atomic), are fsynced
-before the rename, and the directory is fsynced after it: a crash mid-write
-can never leave a torn entry behind.
-
-The cache root resolves, in order: explicit argument, ``REPRO_CACHE_DIR``,
-``$XDG_CACHE_HOME/repro``, ``~/.cache/repro``.
+and counted, never raised — the caller just sees a miss and recomputes.
+Writes go to a temp file in the entry's own directory (same filesystem, so
+the final rename is atomic), are fsynced before the rename, and the
+directory is fsynced after it: a crash at any instant leaves either the old
+state or the complete new entry, never a torn one.  The chaos harness's
+``corrupt`` injection damages entries of both namespaces right after they
+are written.
 """
 
 from __future__ import annotations
@@ -33,13 +39,14 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from repro.obs.metrics import CounterAttr, MetricsRegistry
 
 __all__ = [
     "CacheStats",
     "ResultCache",
+    "StoreNamespace",
     "canonical_params",
     "code_version",
     "default_cache_dir",
@@ -160,42 +167,41 @@ class CacheStats:
 
 
 @dataclass
-class ResultCache:
-    """Checksummed pickle-per-task cache; see module docstring."""
+class StoreNamespace:
+    """One namespace of the store: entry I/O, quarantine and maintenance.
 
+    Subclasses name the namespace and their entries; their ``stats`` object
+    counts ``writes`` and ``quarantined`` entries.
+    """
+
+    namespace: ClassVar[str]
     root: Path = field(default_factory=default_cache_dir)
     version: str = field(default_factory=code_version)
-    stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
 
-    def key(self, experiment_id: str, params: dict, seed: int) -> str:
-        material = "\0".join(
-            [experiment_id, canonical_params(params), str(int(seed)), self.version]
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}{_SUFFIX}"
+    def entry_path(self, name: str) -> Path:
+        return self.root / self.namespace / self.version / f"{name}{_SUFFIX}"
 
     @property
     def quarantine_root(self) -> Path:
-        return self.root / QUARANTINE_DIR
+        return self.root / QUARANTINE_DIR / self.namespace
 
-    def get(self, experiment_id: str, params: dict, seed: int) -> tuple[bool, Any]:
-        """``(hit, value)`` — a damaged entry is quarantined and is a miss."""
-        path = self._path(self.key(experiment_id, params, seed))
-        if path.exists():
-            try:
-                value = read_entry(path)
-            except Exception:
-                self._quarantine(path)
-            else:
-                self.stats.hits += 1
-                return True, value
-        self.stats.misses += 1
-        return False, None
+    # -- entry I/O -----------------------------------------------------------
+    def _read(self, path: Path, kind: type = object) -> tuple[bool, Any]:
+        """``(hit, value)``; a damaged entry, or one not of ``kind``, is
+        quarantined and is a miss."""
+        if not path.exists():
+            return False, None
+        try:
+            value = read_entry(path)
+            if not isinstance(value, kind):
+                raise ValueError(f"{path}: not a {kind.__name__}")
+        except Exception:
+            self._quarantine(path)
+            return False, None
+        return True, value
 
     def _quarantine(self, path: Path) -> None:
         """Move a damaged entry aside (forensics beat deletion) and count it."""
@@ -210,28 +216,24 @@ class ResultCache:
             except OSError:
                 pass
 
-    def put(self, experiment_id: str, params: dict, seed: int, value: Any) -> None:
-        """Store atomically: temp file in the cache dir, fsync, rename, fsync.
+    def _write(self, path: Path, value: Any, chaos_site: str) -> bool:
+        """Store ``value`` at ``path`` durably; True if chaos then damaged it.
 
-        The temp file lives in the cache directory itself so the final
-        ``os.replace`` stays on one filesystem (rename atomicity); the entry
-        is fsynced before the rename and the directory after, so a crash at
-        any instant leaves either the old state or the complete new entry —
-        never a torn one.
+        Temp file in the entry's directory, fsync, ``os.replace``, then fsync
+        the directory (see module docstring).  ``chaos_site`` keys the chaos
+        harness's corruption draw for this entry.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        key = self.key(experiment_id, params, seed)
-        path = self._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = _MAGIC + hashlib.sha256(payload).digest() + payload
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=_SUFFIX + ".tmp")
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=_SUFFIX + ".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
-            fsync_dir(self.root)
+            fsync_dir(path.parent)
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -239,29 +241,40 @@ class ResultCache:
                 pass
             raise
         self.stats.writes += 1
-        self._chaos_corrupt(path, key)
-
-    def _chaos_corrupt(self, path: Path, key: str) -> None:
-        """Chaos-harness hook: maybe damage the entry we just wrote."""
         from repro.runner.chaos import chaos_from_env, maybe_corrupt_entry
 
-        config = chaos_from_env()
-        if config.corrupt:
-            maybe_corrupt_entry(config, path, key)
+        return maybe_corrupt_entry(chaos_from_env(), path, chaos_site)
 
     # -- maintenance ---------------------------------------------------------
     def entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob(f"*{_SUFFIX}"))
+        """Every entry of this namespace, current code version or not."""
+        return sorted((self.root / self.namespace).glob(f"*/*{_SUFFIX}"))
+
+    def current_entries(self) -> list[Path]:
+        return [path for path in self.entries() if path.parent.name == self.version]
 
     def quarantined_entries(self) -> list[Path]:
-        if not self.quarantine_root.is_dir():
-            return []
         return sorted(self.quarantine_root.glob(f"*{_SUFFIX}"))
 
     def size_bytes(self) -> int:
         return sum(path.stat().st_size for path in self.entries())
+
+    def gc(self) -> int:
+        """Prune entries of every other code version; returns the count.
+
+        The version is the directory name, so a stale entry is recognized
+        without unpickling it; emptied version directories go too.
+        """
+        removed = 0
+        for path in self.entries():
+            if path.parent.name != self.version:
+                path.unlink(missing_ok=True)
+                removed += 1
+                try:
+                    path.parent.rmdir()
+                except OSError:
+                    pass  # not empty yet
+        return removed
 
     def clear(self) -> int:
         """Delete every entry (quarantined ones included); returns the count."""
@@ -270,3 +283,30 @@ class ResultCache:
             path.unlink(missing_ok=True)
             removed += 1
         return removed
+
+
+@dataclass
+class ResultCache(StoreNamespace):
+    """The ``results`` namespace: one entry per task; see module docstring."""
+
+    namespace: ClassVar[str] = "results"
+    stats: CacheStats = field(default_factory=CacheStats)
+
+    @staticmethod
+    def key(experiment_id: str, params: dict, seed: int) -> str:
+        material = "\0".join([experiment_id, canonical_params(params), str(int(seed))])
+        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+    def get(self, experiment_id: str, params: dict, seed: int) -> tuple[bool, Any]:
+        """``(hit, value)`` — a damaged entry is quarantined and is a miss."""
+        key = self.key(experiment_id, params, seed)
+        hit, value = self._read(self.entry_path(key))
+        if hit:
+            self.stats.hits += 1
+        else:
+            self.stats.misses += 1
+        return hit, value
+
+    def put(self, experiment_id: str, params: dict, seed: int, value: Any) -> None:
+        key = self.key(experiment_id, params, seed)
+        self._write(self.entry_path(key), value, chaos_site=key)

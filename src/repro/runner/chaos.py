@@ -12,8 +12,9 @@ of ``kind:probability`` entries::
 * ``hang`` — the worker sleeps ``REPRO_CHAOS_HANG_SECONDS`` (default 30)
   before doing the work, simulating a stuck task; with a task timeout
   configured the worker-side alarm converts it into a retryable timeout.
-* ``corrupt`` — the just-written result-cache entry has bytes flipped, so
-  the next read must detect the damage (checksum) and quarantine it.
+* ``corrupt`` — the just-written store entry (a task result or a campaign
+  artifact) has bytes flipped, so the next read must detect the damage
+  (checksum) and quarantine it.
 
 Every decision is drawn from a deterministic RNG keyed by
 ``(REPRO_CHAOS_SEED, site key, attempt)``: the same sweep under the same

@@ -45,19 +45,15 @@ def new_run_id() -> str:
 
 
 def task_key(experiment_id: str, params: dict, seed: int) -> str:
-    """Stable identity of one task within a run (code-version agnostic).
+    """Stable identity of one task within a run: its result key, shortened.
 
-    Matches the cache key's ``(experiment, canonical params, seed)``
-    components but deliberately omits the code version: a resume after an
-    editor save should still *recognize* the task (and then recompute it
-    because the cache key misses).
+    The result key carries no code version (the store's directory does), so
+    a resume after an editor save still *recognizes* the task (and then
+    recomputes it because the new version directory misses).
     """
-    import hashlib
+    from repro.runner.cache import ResultCache
 
-    from repro.runner.cache import canonical_params
-
-    material = "\0".join([experiment_id, canonical_params(params), str(int(seed))])
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+    return ResultCache.key(experiment_id, params, seed)[:16]
 
 
 class RunJournal:

@@ -138,8 +138,13 @@ def wall_clock_limit(seconds):
         yield
         return
 
+    message = f"exceeded wall-clock limit of {seconds:g}s"
+    expired = False
+
     def _alarm(signum, frame):
-        raise TaskTimeout(f"exceeded wall-clock limit of {seconds:g}s")
+        nonlocal expired
+        expired = True
+        raise TaskTimeout(message)
 
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, float(seconds))
@@ -148,3 +153,7 @@ def wall_clock_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        # The alarm's exception was swallowed: the handler ran inside a gc
+        # callback or ``__del__``, whose exceptions Python only reports.
+        raise TaskTimeout(message)

@@ -403,8 +403,9 @@ def resolve_sharded_campaign(key: CampaignKey, store=None) -> CampaignArtifact:
         artifact = store.load(cell_key) if store is not None else None
         if artifact is None:
             artifact = simulate_cell(key, cell, cells)
-            artifact_mod.note_simulation()
             if store is not None:
+                # Store-less runs simulate by design: not a fallback.
+                artifact_mod.note_simulation()
                 store.save(cell_key, artifact)
         parts.append(artifact)
     return merge_cell_artifacts(key, parts)

@@ -1,21 +1,25 @@
-"""Tests for the campaign artifact store and the CampaignKey/Artifact types."""
+"""Tests for the store's artifacts namespace and the CampaignKey/Artifact types.
 
-import os
+The entry mechanics both namespaces share (round trip, quarantine, atomic
+durable writes, clear, gc) come from :mod:`tests.runner.store_contract`.
+"""
+
 import pickle
-import stat
 
 import pytest
 
 from repro.runner import artifacts as artifact_mod
-from repro.runner.artifacts import (
-    ArtifactStore,
-    default_artifact_dir,
-    stats_delta,
-    stats_snapshot,
-)
+from repro.runner.artifacts import ArtifactStore, stats_delta, stats_snapshot
 from repro.runner.cache import code_version
 from repro.workloads import run_scenario
 from repro.workloads.synthetic import CampaignArtifact, CampaignKey
+from tests.runner.store_contract import *  # noqa: F401,F403 - the shared suite
+from tests.runner.store_contract import ArtifactsNamespace
+
+
+@pytest.fixture
+def namespace(tmp_path):
+    return ArtifactsNamespace(tmp_path)
 
 
 @pytest.fixture(scope="module")
@@ -129,21 +133,6 @@ def test_save_makes_key_visible_to_other_store_instances(tmp_path, key, artifact
     assert ArtifactStore(root=tmp_path).has(key)
 
 
-def test_save_fsyncs_the_entry_then_its_directory(tmp_path, key, artifact, monkeypatch):
-    """Regression: the rename was not made durable, so a crash right after
-    the campaign stage could lose an artifact already counted as written."""
-    synced = []
-    real_fsync = os.fsync
-
-    def counting_fsync(fd):
-        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
-        real_fsync(fd)
-
-    monkeypatch.setattr(os, "fsync", counting_fsync)
-    ArtifactStore(root=tmp_path).save(key, artifact)
-    assert synced == ["file", "dir"]
-
-
 def test_loads_are_memoized_per_store(tmp_path, key, artifact):
     store = ArtifactStore(root=tmp_path)
     store.save(key, artifact)
@@ -186,37 +175,21 @@ def test_wrong_payload_type_is_quarantined(tmp_path, key):
     assert len(store.quarantined_entries()) == 1
 
 
-def test_gc_prunes_only_stale_code_versions(tmp_path, key, artifact):
+def test_clear_drops_the_memo(tmp_path, key, artifact):
     store = ArtifactStore(root=tmp_path)
     store.save(key, artifact)
-    stale = tmp_path / "0123456789abcdef" / "feedface-s1.pkl"
-    stale.parent.mkdir(parents=True)
-    stale.write_bytes(b"old bytes")
-    assert len(store.entries()) == 2
-
-    removed = store.gc()
-    assert removed == 1
-    assert not stale.exists()
-    assert not stale.parent.exists()  # emptied version dir removed too
-    assert store.has(key)  # current version untouched
-
-
-def test_gc_leaves_quarantine_alone(tmp_path, key, artifact):
-    store = ArtifactStore(root=tmp_path)
-    store.quarantine_root.mkdir(parents=True)
-    (store.quarantine_root / "damaged.pkl").write_bytes(b"x")
-    assert store.gc() == 0
-    assert len(store.quarantined_entries()) == 1
-
-
-def test_clear_removes_everything(tmp_path, key, artifact):
-    store = ArtifactStore(root=tmp_path)
-    store.save(key, artifact)
-    store.quarantine_root.mkdir(parents=True, exist_ok=True)
-    (store.quarantine_root / "damaged.pkl").write_bytes(b"x")
-    assert store.clear() == 2
-    assert store.entries() == []
+    assert store.clear() == 1
     assert not store.has(key)
+    assert store.load(key) is None
+
+
+def test_chaos_corrupted_save_is_not_memoized(tmp_path, key, artifact, monkeypatch):
+    """The saving process must see the damaged bytes like every other one."""
+    monkeypatch.setenv("REPRO_CHAOS", "corrupt:1.0")
+    store = ArtifactStore(root=tmp_path)
+    store.save(key, artifact)
+    assert store.load(key) is None  # read from disk, quarantined
+    assert len(store.quarantined_entries()) == 1
 
 
 def test_size_bytes_counts_stored_artifacts(tmp_path, key, artifact):
@@ -231,11 +204,6 @@ def test_store_version_is_code_version(tmp_path):
 
 
 # -- active-store plumbing -----------------------------------------------------
-
-def test_default_artifact_dir_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "elsewhere"))
-    assert default_artifact_dir() == tmp_path / "elsewhere"
-
 
 def test_ensure_active_store_reuses_per_root(monkeypatch, tmp_path):
     monkeypatch.setattr(artifact_mod, "_active", None)

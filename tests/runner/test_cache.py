@@ -1,4 +1,8 @@
-"""Tests for the on-disk result cache: key scheme, checksums, quarantine."""
+"""Tests for the store's results namespace: key scheme, counters, framing.
+
+The entry mechanics both namespaces share (round trip, quarantine, atomic
+durable writes, clear, gc) come from :mod:`tests.runner.store_contract`.
+"""
 
 import pytest
 
@@ -8,18 +12,18 @@ from repro.runner.cache import (
     default_cache_dir,
     read_entry,
 )
+from tests.runner.store_contract import *  # noqa: F401,F403 - the shared suite
+from tests.runner.store_contract import ResultsNamespace
+
+
+@pytest.fixture
+def namespace(tmp_path):
+    return ResultsNamespace(tmp_path / "cache")
 
 
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(root=tmp_path / "cache")
-
-
-def test_round_trip(cache):
-    cache.put("T1", {"days": 5.0}, 1, {"answer": 42})
-    hit, value = cache.get("T1", {"days": 5.0}, 1)
-    assert hit and value == {"answer": 42}
-    assert cache.stats.hits == 1 and cache.stats.writes == 1
 
 
 def test_miss_on_empty_cache(cache):
@@ -28,13 +32,22 @@ def test_miss_on_empty_cache(cache):
     assert cache.stats.misses == 1
 
 
+def test_hits_misses_and_writes_are_counted(cache):
+    cache.put("T1", {"days": 5.0}, 1, {"answer": 42})
+    assert cache.get("T1", {"days": 5.0}, 1) == (True, {"answer": 42})
+    cache.get("T1", {"days": 5.0}, 2)
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.writes) == (1, 1, 1)
+
+
 def test_key_depends_on_every_component(cache):
     base = cache.key("T1", {"days": 5.0}, 1)
     assert cache.key("T2", {"days": 5.0}, 1) != base
     assert cache.key("T1", {"days": 6.0}, 1) != base
     assert cache.key("T1", {"days": 5.0}, 2) != base
+    # The code version is the entry's directory, not part of its key.
     other_version = ResultCache(root=cache.root, version="deadbeef")
-    assert other_version.key("T1", {"days": 5.0}, 1) != base
+    assert other_version.key("T1", {"days": 5.0}, 1) == base
+    assert other_version.entry_path(base) != cache.entry_path(base)
 
 
 def test_key_is_insensitive_to_dict_ordering(cache):
@@ -47,83 +60,6 @@ def test_key_distinguishes_tuple_knob_values(cache):
     a = cache.key("R1", {"seeds": (1, 2)}, 1)
     b = cache.key("R1", {"seeds": (1, 3)}, 1)
     assert a != b
-
-
-def test_corrupt_entry_is_a_miss_and_quarantined(cache):
-    cache.put("T1", {}, 1, "value")
-    (entry,) = cache.entries()
-    entry.write_bytes(b"not a pickle")
-    hit, value = cache.get("T1", {}, 1)
-    assert not hit and value is None
-    assert cache.entries() == []
-    assert cache.stats.quarantined == 1
-    # Forensics beat deletion: the damaged bytes are kept aside.
-    (kept,) = cache.quarantined_entries()
-    assert kept.read_bytes() == b"not a pickle"
-
-
-def test_bitflip_fails_checksum_and_quarantines(cache):
-    cache.put("T1", {}, 1, {"rows": [1, 2, 3]})
-    (entry,) = cache.entries()
-    blob = bytearray(entry.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF  # single flipped bit-pattern in the payload
-    entry.write_bytes(bytes(blob))
-    hit, value = cache.get("T1", {}, 1)
-    assert not hit and value is None
-    assert cache.stats.quarantined == 1
-
-
-def test_truncated_entry_is_quarantined_not_raised(cache):
-    cache.put("T1", {}, 1, list(range(100)))
-    (entry,) = cache.entries()
-    entry.write_bytes(entry.read_bytes()[:20])  # torn write survivor
-    hit, value = cache.get("T1", {}, 1)
-    assert not hit and value is None
-    assert cache.stats.quarantined == 1
-
-
-def test_quarantined_entries_do_not_shadow_recomputes(cache):
-    cache.put("T1", {}, 1, "good")
-    (entry,) = cache.entries()
-    entry.write_bytes(b"garbage")
-    cache.get("T1", {}, 1)  # quarantines
-    cache.put("T1", {}, 1, "recomputed")
-    hit, value = cache.get("T1", {}, 1)
-    assert hit and value == "recomputed"
-
-
-def test_clear_removes_everything(cache):
-    for seed in range(3):
-        cache.put("T1", {}, seed, seed)
-    assert len(cache.entries()) == 3
-    assert cache.clear() == 3
-    assert cache.entries() == []
-    assert cache.size_bytes() == 0
-
-
-def test_clear_removes_quarantined_entries_too(cache):
-    cache.put("T1", {}, 1, "value")
-    (entry,) = cache.entries()
-    entry.write_bytes(b"junk")
-    cache.get("T1", {}, 1)
-    assert cache.clear() == 1
-    assert cache.quarantined_entries() == []
-
-
-def test_put_overwrites_atomically(cache):
-    cache.put("T1", {}, 1, "old")
-    cache.put("T1", {}, 1, "new")
-    hit, value = cache.get("T1", {}, 1)
-    assert hit and value == "new"
-    # No leftover temp files from the write-and-rename protocol.
-    assert [p for p in cache.root.iterdir() if p.suffix == ".tmp"] == []
-
-
-def test_entries_are_loadable_checksummed_blobs(cache):
-    cache.put("T1", {"days": 1.0}, 7, {"rows": [1, 2, 3]})
-    (entry,) = cache.entries()
-    assert entry.read_bytes().startswith(b"RPC1")
-    assert read_entry(entry) == {"rows": [1, 2, 3]}
 
 
 def test_read_entry_rejects_foreign_files(tmp_path):

@@ -95,6 +95,25 @@ def test_limit_interrupts_oversleeping_body():
     assert time.monotonic() - started < 5.0
 
 
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+def test_alarm_swallowed_by_a_gc_callback_still_times_out():
+    """Regression: an alarm landing in a gc callback was lost, and the task
+    then ran to completion as if no limit had been set."""
+    import gc
+
+    def slow_callback(phase, info):
+        if phase == "start":
+            time.sleep(0.5)  # the alarm fires in here; gc only reports it
+
+    gc.callbacks.append(slow_callback)
+    try:
+        with pytest.raises(TaskTimeout):
+            with wall_clock_limit(0.05):
+                gc.collect()
+    finally:
+        gc.callbacks.remove(slow_callback)
+
+
 def test_limit_is_transparent_when_body_is_fast():
     with wall_clock_limit(30.0):
         value = sum(range(1000))

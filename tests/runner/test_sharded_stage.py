@@ -148,6 +148,13 @@ def test_sharded_and_legacy_results_never_share_cache_entries(tmp_path):
     assert rerun.cache.stats.hits == 1
 
 
+def test_storeless_sharded_run_counts_no_fallbacks():
+    """Without a store every cell simulates by design: none is a fallback."""
+    runner = ParallelRunner(jobs=1, use_cache=False, shards=2)
+    runner.run_many(_MULTI)
+    assert runner.campaign_stats["fallbacks"] == 0
+
+
 def test_shards_flag_validation():
     with pytest.raises(ValueError):
         ParallelRunner(jobs=1, shards=0)

@@ -223,17 +223,20 @@ def test_cache_info_and_clear(tmp_path, capsys):
     assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
     info = capsys.readouterr().out
     assert str(cache_dir) in info
-    assert "entries:      5" in info  # R1 default seeds = 5 replicates
-    assert "quarantined:  0" in info
+    # R1 default seeds = 5 replicates, each reading its own campaign.
+    assert "results:      5 entries (5 current), 0 quarantined" in info
+    assert "artifacts:    5 entries (5 current), 0 quarantined" in info
 
     assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
-    assert "removed 5 cached results" in capsys.readouterr().out
+    assert ": 5 results, 5 artifacts" in capsys.readouterr().out
 
     assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
-    assert "entries:      0" in capsys.readouterr().out
+    info = capsys.readouterr().out
+    assert "results:      0 entries" in info
+    assert "artifacts:    0 entries" in info
 
 
-# -- campaign artifact store: stats / gc / --timings / --no-artifacts ----------
+# -- campaign artifacts: stats / clear / gc / --timings / --no-cache -----------
 
 def test_run_all_populates_the_artifact_store(tmp_path, capsys):
     code, _ = _run_all(tmp_path, "report.txt", "--jobs", "1")
@@ -244,12 +247,10 @@ def test_run_all_populates_the_artifact_store(tmp_path, capsys):
     assert list(artifacts.glob("*/*.pkl"))  # one per distinct campaign
 
 
-def test_no_artifacts_flag_disables_the_store_same_bytes(tmp_path, capsys):
+def test_no_cache_disables_the_store_same_bytes(tmp_path, capsys):
     code, with_store = _run_all(tmp_path, "with.txt", "--jobs", "1")
     assert code == 0
-    code, without = _run_all(
-        tmp_path, "without.txt", "--jobs", "1", "--no-cache", "--no-artifacts"
-    )
+    code, without = _run_all(tmp_path, "without.txt", "--jobs", "1", "--no-cache")
     assert code == 0
     capsys.readouterr()
     assert with_store.read_bytes() == without.read_bytes()
@@ -273,25 +274,43 @@ def test_cache_stats_reports_artifacts(tmp_path, capsys):
     capsys.readouterr()
     assert main(["cache", "stats", "--cache-dir", str(tmp_path / "cache")]) == 0
     out = capsys.readouterr().out
-    assert "artifact dir:" in out
-    assert "artifacts:    3 (3 current code version)" in out
-    assert "artifact size:" in out and "0 bytes" not in out.split("artifact size:")[1]
+    (row,) = [line for line in out.splitlines() if line.startswith("artifacts:")]
+    assert row.startswith("artifacts:    3 entries (3 current), 0 quarantined, ")
+    assert not row.endswith(" 0 bytes")
+
+
+def test_cache_clear_empties_both_namespaces(tmp_path, capsys):
+    code, _ = _run_all(tmp_path, "report.txt", "--jobs", "1")
+    assert code == 0
+    cache_dir = tmp_path / "cache"
+    assert list(cache_dir.rglob("*.pkl"))
+    capsys.readouterr()
+
+    assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
+    assert list(cache_dir.rglob("*.pkl")) == []
+    assert ": 3 results, 3 artifacts" in capsys.readouterr().out
 
 
 def test_cache_gc_prunes_stale_code_versions(tmp_path, capsys):
+    """Both namespaces: a planted stale result and artifact go, current stay."""
     code, _ = _run_all(tmp_path, "report.txt", "--jobs", "1")
     assert code == 0
-    stale = tmp_path / "cache" / "artifacts" / "0123456789abcdef"
-    stale.mkdir()
-    (stale / "feedface-s1.pkl").write_bytes(b"old")
+    stale = []
+    for namespace in ("results", "artifacts"):
+        version_dir = tmp_path / "cache" / namespace / "0123456789abcdef"
+        version_dir.mkdir(parents=True)
+        (version_dir / "feedface.pkl").write_bytes(b"old")
+        stale.append(version_dir)
     capsys.readouterr()
 
     assert main(["cache", "gc", "--cache-dir", str(tmp_path / "cache")]) == 0
-    assert "pruned 1 stale artifact(s)" in capsys.readouterr().out
-    assert not stale.exists()
+    assert not any(version_dir.exists() for version_dir in stale)
+    assert ": 1 results, 1 artifacts" in capsys.readouterr().out
 
-    assert main(["cache", "stats", "--cache-dir", str(tmp_path / "cache")]) == 0
-    assert "artifacts:    3 (3 current code version)" in capsys.readouterr().out
+    assert main(["cache", "info", "--cache-dir", str(tmp_path / "cache")]) == 0
+    info = capsys.readouterr().out
+    assert "results:      3 entries (3 current)" in info
+    assert "artifacts:    3 entries (3 current)" in info
 
 
 def test_run_command_accepts_timings_flag(tmp_path, capsys):
