@@ -1,12 +1,13 @@
-"""Bench: the scale tier — population x shards sweep.
+"""Bench: the multi-cell model — population x shards sweep.
 
-Sweeps the campaign population against the unsharded coupled baseline and
-the cell-decomposed sharded path, recording wall-clock and deterministic
-sim-event throughput per leg into ``results/BENCH_shard_scaling.json``
-(the machine-readable convention of the other benches).  In-process the
-cells run serially, so every speedup recorded here is *algorithmic* —
+Sweeps the campaign population against the coupled baseline and the
+multi-cell path (``run_scenario_sharded``), recording wall-clock and
+deterministic sim-event throughput per leg into
+``results/BENCH_shard_scaling.json`` (the machine-readable convention of
+the other benches).  ``run_scenario_sharded`` runs cells one after another
+in one process, so every speedup recorded here is *algorithmic* —
 decoupling the shared heap and the O(population) per-event scans — not
-parallelism; ``--jobs`` multiplies it on multi-core hosts.
+parallelism, and no ``--jobs`` value multiplies it.
 """
 
 import os

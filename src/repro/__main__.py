@@ -61,11 +61,6 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a JSONL telemetry sidecar (wall-domain "
                              "spans/events/metrics; never changes report bytes)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="scale tier: simulate campaigns as population "
-                             "cells grouped into up to N stage-1 tasks, merged "
-                             "deterministically (default: whole-campaign runs; "
-                             "an execution knob — any N gives the same bytes)")
 
 
 def _build_runner(args, journal=None, resume_keys=(), run_id=None):
@@ -98,7 +93,6 @@ def _build_runner(args, journal=None, resume_keys=(), run_id=None):
         # Per-task sim tracing only when a sidecar was asked for explicitly:
         # the default path keeps the kernel's no-tracer fast path.
         trace_sim=getattr(args, "trace", None) is not None,
-        shards=getattr(args, "shards", None),
     )
 
 
@@ -676,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
     use_runner = (
         args.jobs is not None or args.no_cache or args.cache_dir is not None
         or args.task_timeout is not None or args.timings
-        or args.trace is not None or args.shards is not None
+        or args.trace is not None
     )
     try:
         if use_runner:

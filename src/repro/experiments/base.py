@@ -199,9 +199,7 @@ def execute_task(task: ExperimentTask) -> Any:
     params = dict(task.params)
     stage_key = params.pop(CAMPAIGN_STAGE_ID, None)
     if stage_key is not None:
-        return _execute_campaign_stage(
-            stage_key, shard_group=params.pop("__shard_group__", None)
-        )
+        return _execute_campaign_stage(stage_key)
     whole = params.pop("__whole__", None)
     if whole is not None:
         return registry[whole](**params)
@@ -235,9 +233,7 @@ def run_via_tasks(experiment_id: str, **knobs) -> ExperimentOutput:
 #: live :class:`ScenarioResult` objects (no artifact store) or
 #: :class:`CampaignArtifact` snapshots (store active) — the two expose the
 #: same measurement surface.
-#: Sharded-mode resolutions memoize under ``("cells", key)`` — a distinct
-#: namespace, because merged artifacts carry cell-strided ids.
-_campaign_cache: dict[object, ScenarioResult | CampaignArtifact] = {}
+_campaign_cache: dict[CampaignKey, ScenarioResult | CampaignArtifact] = {}
 
 #: :func:`campaign`'s knob names, in :meth:`CampaignKey.make` order.
 campaign_key = CampaignKey.make
@@ -274,25 +270,11 @@ def campaign(
         gateway_adoption_ramp_days=gateway_adoption_ramp_days,
     )
 
-    from repro.runner import artifacts as artifact_mod
-    from repro.workloads import sharding
-
-    if sharding.shard_mode() is not None:
-        # Scale tier: resolve through per-cell artifacts and the
-        # deterministic merge.  Memoized under a mode-tagged key so a
-        # sharded resolution never aliases a legacy whole-campaign entry
-        # (their absolute ids differ even though every report agrees).
-        memo_key = ("cells", key)
-        cached = _campaign_cache.get(memo_key)
-        if cached is not None:
-            return cached
-        merged = sharding.resolve_sharded_campaign(key, artifact_mod.active_store())
-        _campaign_cache[memo_key] = merged
-        return merged
-
     cached = _campaign_cache.get(key)
     if cached is not None:
         return cached
+
+    from repro.runner import artifacts as artifact_mod
 
     store = artifact_mod.active_store()
     if store is not None:
@@ -344,40 +326,16 @@ def task_campaign_keys(task: ExperimentTask) -> tuple[CampaignKey, ...]:
     return tuple(campaigns(params))
 
 
-def _execute_campaign_stage(key_fields: dict, shard_group=None) -> dict:
+def _execute_campaign_stage(key_fields: dict) -> dict:
     """Stage-1 task body: ensure one campaign's artifact exists.
 
     Runs inside a worker (or inline): resolves :func:`campaign` under the
     stage marker so a live simulation counts as *expected* work rather than
     a dedup miss, and reports whether this process actually simulated.
-
-    ``shard_group`` (scale tier) is ``(group, groups)``: instead of the
-    whole campaign, this task simulates the population cells assigned
-    round-robin to ``group`` into their per-cell artifacts; stage-2 tasks
-    merge on load.  Which cells exist depends only on the campaign key, so
-    any grouping yields the same artifacts.
     """
     from repro.runner import artifacts as artifact_mod
 
     key = CampaignKey.make(**key_fields)
-    if shard_group is not None:
-        from repro.workloads import sharding
-
-        group, groups = shard_group
-        store = artifact_mod.active_store()
-        cells = sharding.cell_count(key.population_scale)
-        simulated = 0
-        with artifact_mod.campaign_stage():
-            for cell in range(group, cells, groups):
-                cell_key = sharding.CellKey.for_cell(key, cell, cells)
-                if store is not None and store.has(cell_key):
-                    continue
-                artifact = sharding.simulate_cell(key, cell, cells)
-                artifact_mod.note_simulation()
-                if store is not None:
-                    store.save(cell_key, artifact)
-                simulated += 1
-        return {"campaign": key.asdict(), "simulated": bool(simulated)}
     with artifact_mod.campaign_stage():
         before = artifact_mod.STATS.simulations
         result = campaign(**key.asdict())

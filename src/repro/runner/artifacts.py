@@ -164,7 +164,7 @@ def note_simulation() -> None:
 
 @dataclass
 class ArtifactStore(StoreNamespace):
-    """The ``artifacts`` namespace: one entry per campaign (or cell)."""
+    """The ``artifacts`` namespace: one entry per campaign."""
 
     namespace: ClassVar[str] = "artifacts"
 

@@ -40,8 +40,6 @@ class WorkerSpec:
     artifact_dir: Optional[str] = None
     #: trace the task's simulations and ship the sim-domain summary back
     trace_sim: bool = False
-    #: scale-tier shard count; None = legacy whole-campaign resolution
-    shards: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -87,11 +85,6 @@ def run_task_hardened(spec: WorkerSpec) -> WorkerOutcome:
         # resolves through it; the store and its deserialization memo
         # persist for the life of the worker.
         artifact_mod.ensure_active_store(spec.artifact_dir)
-    # Align this (possibly reused) worker's campaign-resolution mode with
-    # the driver's: set every task, since the pool interleaves specs.
-    from repro.workloads import sharding
-
-    sharding.set_shard_mode(spec.shards)
     stats_before = artifact_mod.stats_snapshot()
     sim_summary = None
     try:

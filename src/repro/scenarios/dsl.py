@@ -336,10 +336,10 @@ class ScenarioProgram:
     metascheduler: SelectionStrategy = SelectionStrategy.PREDICTED_START
     #: population scale used only when no explicit mix is given
     population_scale: float = 0.05
-    #: scale-tier execution hint: run this program as population cells
-    #: grouped into up to this many shard tasks.  Purely operational —
-    #: ``compile()`` ignores it, and any value yields the same merged bytes
-    #: (the shard-merge determinism property).
+    #: ``repro scenario run`` hint: above 1, run this program as population
+    #: cells, simulated one after another and merged.  Purely operational —
+    #: ``compile()`` ignores it, and any value above 1 yields the same merged
+    #: bytes (the shard-merge determinism property).
     shards: int = 1
 
     def __post_init__(self) -> None:

@@ -26,8 +26,8 @@ def derive_seed(seed: int, key: str) -> int:
     the 64-bit birthday bound), so callers may derive one seed per task —
     ``derive_seed(7, "R1:3")`` — and get the same stream no matter which
     worker, in which order, eventually runs the task.  The separator differs
-    from the one :meth:`RandomStreams.stream` uses, so spawned-child seeds
-    never collide with named-stream entropy of the same parent.
+    from the one :meth:`RandomStreams.stream` uses, so a factory seeded with
+    a derived seed never replays the named streams of its parent seed.
     """
     digest = hashlib.sha256(f"{int(seed)}/{key}".encode("utf-8")).digest()
     return int.from_bytes(digest[: _SEED_BITS // 8], "big")
@@ -58,16 +58,6 @@ class RandomStreams:
             )
             self._streams[name] = generator
         return generator
-
-    def spawn(self, key: str | int) -> "RandomStreams":
-        """A child factory with a seed derived from ``(self.seed, key)``.
-
-        Each child is an independent universe of named streams: replicate
-        ``k`` of a parallel sweep calls ``streams.spawn(k)`` and draws from
-        its own streams without perturbing (or depending on) any sibling,
-        regardless of the order in which the scheduler runs them.
-        """
-        return RandomStreams(seed=derive_seed(self.seed, str(key)))
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams

@@ -1,54 +1,57 @@
-"""Population-sharded campaigns: cell decomposition, per-cell artifacts, merge.
+"""Multi-cell campaigns: cell decomposition, scoped ids, deterministic merge.
 
-The scale tier decomposes one campaign's user population into *cells* of
-canonical size (:data:`CELL_SCALE`, the population scale of the canonical
+The multi-cell model decomposes one scenario's user population into *cells*
+of canonical size (:data:`CELL_SCALE`, the population scale of the canonical
 T-table campaign).  Each cell simulates the **full shared world** — the
-complete population is built from the campaign seed's ``"population"``
+complete population is built from the scenario seed's ``"population"``
 stream, so sites, gateways, community accounts and per-user named streams
 are identical in every cell — but only the users whose ordinal in
 ``population.users`` satisfies ``ordinal % cells == cell`` run behavior
 processes.  Cells are therefore disjoint in *activity* while agreeing on
 *structure*, and their union covers every user exactly once.
 
-Three determinism properties carry the tier:
+:func:`run_scenario_sharded` runs the cells one after another in this
+process and merges them; ``repro scenario run --shards N``, the scenario
+DSL's ``shards:`` field and the scale bench use it.  The experiment runner
+does not: it simulates every campaign coupled, with :func:`run_scenario`.
+
+Three determinism properties carry the model:
 
 * **Cell independence** — a cell's output is a pure function of
-  ``(campaign key, cell, cells)``.  Module-global id counters (job ids,
+  ``(config, cell, cells)``.  Module-global id counters (job ids,
   ``wf-N``/``ens-N``/``coalloc-N`` attribute ids, ...) would otherwise leak
   process history into artifacts, so every cell simulation runs under
   :func:`scoped_id_counters`, which swaps all seven counters for fresh
   1-based ones and restores the originals on exit.
-* **Shard-count invariance** — ``shards=N`` only *groups* cells onto
-  stage-1 tasks (round-robin, like ``--jobs``); the cell set and the merge
-  are functions of the campaign key alone, so any ``N`` produces the same
-  merged bytes.
+* **Shard-count invariance** — ``shards=N`` only changes the order in which
+  cells are visited (round-robin groups); the cell set and the merge are
+  functions of the config alone, so any ``N`` produces the same merged
+  bytes.
 * **Canonical-scale identity** — a campaign at the canonical population
   scale has exactly one cell, and the single-cell path runs the plain
-  coupled :func:`run_scenario` (no shard filter), so sharded execution of
-  the standard T-table sweep is byte-identical to the unsharded baseline,
-  not merely statistically equivalent.
+  coupled :func:`run_scenario` (no shard filter), so its bytes equal the
+  coupled run's, not merely its statistics.
 
-Every cell draws from the same :class:`RandomStreams` as the coupled run,
-so above canonical scale a multi-cell campaign differs from the coupled
-campaign by queue decoupling (each cell's schedulers see only that cell's
-users), not by a second RNG semantics.
+Every cell draws from the same :class:`~repro.sim.rng.RandomStreams` as the
+coupled run, so above canonical scale a multi-cell campaign differs from the
+coupled campaign by queue decoupling (each cell's schedulers see only that
+cell's users), not by a second RNG semantics.
 
 The merge renumbers ids with a per-cell stride/prefix (cells were minted
 independently from 1) and emits the combined usage-record stream in the
 accounting order ``(end_time, job_id)`` — with strided ids that is exactly
-"sim time, then shard ordinal, then within-cell order".
+"sim time, then cell ordinal, then within-cell order".
 """
 
 from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterator, Optional
 
 from repro.infra.accounting import UsageRecord
 from repro.infra.job import AttributeKeys
-from repro.sim.rng import RandomStreams
 from repro.users.population import PopulationSpec
 from repro.workloads.synthetic import (
     CAMPAIGN_POPULATION_SCALE,
@@ -61,16 +64,10 @@ from repro.workloads.synthetic import (
 __all__ = [
     "CELL_SCALE",
     "CELL_ID_STRIDE",
-    "CellKey",
     "cell_count",
     "merge_cell_artifacts",
-    "resolve_sharded_campaign",
     "run_scenario_sharded",
     "scoped_id_counters",
-    "set_shard_mode",
-    "shard_mode",
-    "sharded",
-    "simulate_cell",
     "simulate_cell_config",
 ]
 
@@ -98,83 +95,13 @@ _COUNTER_ATTRIBUTES = (
 def cell_count(population: PopulationSpec | float) -> int:
     """Number of population cells for ``population`` (a spec or a scale).
 
-    A pure function of the campaign key — never of ``shards``/``--jobs`` —
-    so the decomposition is identical no matter how execution is arranged.
+    A pure function of the population — never of ``shards`` — so the
+    decomposition is identical no matter in which order cells run.
     """
     if not isinstance(population, PopulationSpec):
         population = PopulationSpec(scale=float(population))
     total_users = sum(population.user_counts().values())
     return max(1, round(total_users / _CELL_USERS))
-
-
-@dataclass(frozen=True)
-class CellKey:
-    """Identity of one population cell of a sharded campaign.
-
-    ``seed`` is the :meth:`RandomStreams.spawn`-derived per-shard seed
-    (stable across workers and execution order); ``campaign_seed`` keeps the
-    parent campaign recoverable and in the artifact-store knob hash.  The
-    field set mirrors :class:`CampaignKey` so the generic
-    :class:`~repro.runner.artifacts.ArtifactStore` path scheme
-    (``asdict`` + ``seed``) applies unchanged.
-    """
-
-    days: float
-    seed: int
-    campaign_seed: int
-    scale: str
-    population_scale: float
-    gateway_tagging_coverage: float
-    gateway_adoption_ramp_days: float
-    cell: int
-    cells: int
-
-    @classmethod
-    def for_cell(cls, key: CampaignKey, cell: int, cells: int) -> "CellKey":
-        if not 0 <= cell < cells:
-            raise ValueError(f"cell must be in [0, {cells}), got {cell}")
-        derived = RandomStreams(key.seed).spawn(f"shard:{cell}/{cells}").seed
-        return cls(
-            days=key.days,
-            seed=derived,
-            campaign_seed=key.seed,
-            scale=key.scale,
-            population_scale=key.population_scale,
-            gateway_tagging_coverage=key.gateway_tagging_coverage,
-            gateway_adoption_ramp_days=key.gateway_adoption_ramp_days,
-            cell=cell,
-            cells=cells,
-        )
-
-    def asdict(self) -> dict:
-        return {
-            "days": self.days,
-            "seed": self.seed,
-            "campaign_seed": self.campaign_seed,
-            "scale": self.scale,
-            "population_scale": self.population_scale,
-            "gateway_tagging_coverage": self.gateway_tagging_coverage,
-            "gateway_adoption_ramp_days": self.gateway_adoption_ramp_days,
-            "cell": self.cell,
-            "cells": self.cells,
-        }
-
-    @property
-    def campaign_key(self) -> CampaignKey:
-        return CampaignKey.make(
-            days=self.days,
-            seed=self.campaign_seed,
-            scale=self.scale,
-            population_scale=self.population_scale,
-            gateway_tagging_coverage=self.gateway_tagging_coverage,
-            gateway_adoption_ramp_days=self.gateway_adoption_ramp_days,
-        )
-
-    def config(self) -> ScenarioConfig:
-        base = self.campaign_key.config()
-        if self.cells == 1:
-            return base
-        return replace(base, shard=(self.cell, self.cells))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +127,9 @@ def scoped_id_counters() -> Iterator[None]:
     Absolute job/workflow/ensemble/... ids are minted from module-global
     ``itertools.count(1)`` counters and therefore depend on everything the
     process simulated before.  Reports are id-invariant, but cell
-    *artifacts* must be byte-deterministic so that sharded campaigns don't
-    depend on task layout; scoping the counters makes each cell's ids a
-    pure function of its key.
+    *artifacts* must be byte-deterministic so that a merged campaign does
+    not depend on the order its cells ran in; scoping the counters makes
+    each cell's ids a pure function of its config and cell.
     """
     import importlib
 
@@ -224,13 +151,13 @@ def scoped_id_counters() -> Iterator[None]:
 
 
 def simulate_cell_config(
-    config: ScenarioConfig, cell: int, cells: int, key: object = None
+    config: ScenarioConfig, cell: int, cells: int
 ) -> CampaignArtifact:
     """Simulate one population cell of ``config`` into an artifact.
 
     With a single cell this is the plain coupled :func:`run_scenario` —
     identical physics, identical bytes (modulo the scoped ids) to the
-    legacy unsharded run.  With more, the cell builds the full shared world
+    coupled run.  With more, the cell builds the full shared world
     and activates only its own users; it draws from the same named
     :class:`~repro.sim.rng.RandomStreams` as the coupled run.
     """
@@ -240,13 +167,7 @@ def simulate_cell_config(
         config = replace(config, shard=(cell, cells))
     with scoped_id_counters():
         result = run_scenario(config)
-        return CampaignArtifact.from_result(result, key=key)
-
-
-def simulate_cell(key: CampaignKey, cell: int, cells: int) -> CampaignArtifact:
-    """Simulate cell ``cell`` of campaign ``key`` under its :class:`CellKey`."""
-    cell_key = CellKey.for_cell(key, cell, cells)
-    return simulate_cell_config(key.config(), cell, cells, key=cell_key)
+        return CampaignArtifact.from_result(result)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +290,10 @@ def merge_cell_artifacts(
 def run_scenario_sharded(config: ScenarioConfig, shards: int = 1) -> CampaignArtifact:
     """Run ``config`` cell-by-cell in-process and return the merged artifact.
 
-    ``shards`` only changes the order cells are visited (round-robin groups,
-    mirroring the runner's stage-1 task grouping); any value produces the
-    same bytes because cells are isolated — the property the shard-merge
-    determinism tests pin down.
+    ``shards`` only changes the order cells are visited (round-robin
+    groups); any value produces the same bytes because cells are isolated —
+    the property the shard-merge determinism tests pin down.  Cells run
+    serially, so ``shards`` never makes the run faster.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -383,64 +304,3 @@ def run_scenario_sharded(config: ScenarioConfig, shards: int = 1) -> CampaignArt
         for cell in range(group, cells, groups):
             artifacts[cell] = simulate_cell_config(config, cell, cells)
     return merge_cell_artifacts(None, artifacts)  # type: ignore[arg-type]
-
-
-def resolve_sharded_campaign(key: CampaignKey, store=None) -> CampaignArtifact:
-    """Load-or-simulate every cell of ``key`` and return the merged artifact.
-
-    Cell artifacts live in the (checksummed, quarantining) campaign artifact
-    ``store`` under their :class:`CellKey`; the merged artifact is
-    recomputed on demand — it is cheap relative to simulation and keeping a
-    single per-cell source of truth avoids cross-mode store aliasing with
-    legacy whole-campaign artifacts.
-    """
-    from repro.runner import artifacts as artifact_mod
-
-    cells = cell_count(key.population_scale)
-    parts: list[CampaignArtifact] = []
-    for cell in range(cells):
-        cell_key = CellKey.for_cell(key, cell, cells)
-        artifact = store.load(cell_key) if store is not None else None
-        if artifact is None:
-            artifact = simulate_cell(key, cell, cells)
-            if store is not None:
-                # Store-less runs simulate by design: not a fallback.
-                artifact_mod.note_simulation()
-                store.save(cell_key, artifact)
-        parts.append(artifact)
-    return merge_cell_artifacts(key, parts)
-
-
-# ---------------------------------------------------------------------------
-# Process-global shard mode (mirrors repro.runner.artifacts.active_store)
-# ---------------------------------------------------------------------------
-
-_shard_mode: Optional[int] = None
-
-
-def shard_mode() -> Optional[int]:
-    """The active shard count, or ``None`` when campaigns run unsharded."""
-    return _shard_mode
-
-
-def set_shard_mode(shards: Optional[int]) -> None:
-    """Activate (or clear) sharded campaign resolution for this process.
-
-    Workers call this from the spec they receive; the driver uses the
-    :func:`sharded` context manager instead.
-    """
-    global _shard_mode
-    if shards is not None and shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    _shard_mode = shards
-
-
-@contextmanager
-def sharded(shards: Optional[int]) -> Iterator[None]:
-    """Scoped :func:`set_shard_mode`, restoring the previous mode on exit."""
-    previous = _shard_mode
-    set_shard_mode(shards)
-    try:
-        yield
-    finally:
-        set_shard_mode(previous)

@@ -108,10 +108,10 @@ class ScenarioConfig:
     #: recovery discipline against ``packet_faults`` (None = full defaults:
     #: retransmit with backoff + end-of-run reconciliation re-sends)
     ingest_recovery: Optional[IngestRecoveryPolicy] = None
-    #: population cell ``(cell, cells)`` of the sharded scale tier: the full
+    #: population cell ``(cell, cells)`` of the multi-cell model: the full
     #: population is built identically in every cell, but only users whose
     #: ordinal satisfies ``ordinal % cells == cell`` run behavior processes.
-    #: ``None`` (legacy) simulates everyone in one coupled run.
+    #: ``None`` simulates everyone in one coupled run.
     shard: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
@@ -269,10 +269,9 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
         config = replace(config, **overrides)
 
     sim = Simulator()
-    # Every population cell of a sharded campaign uses the same master seed,
-    # so the shared world (population, gateways, outages) is identical across
-    # cells and cell outputs are independent of how cells are grouped onto
-    # stage-1 tasks.
+    # Every population cell of a multi-cell campaign uses the same master
+    # seed, so the shared world (population, gateways, outages) is identical
+    # across cells and cell outputs are independent of the order cells run in.
     streams = RandomStreams(seed=config.seed)
     ledger = infra.AllocationLedger()
     central = CentralAccountingDB()

@@ -1,4 +1,4 @@
-"""Tests for named random streams and spawned child factories."""
+"""Tests for named random streams and derived seeds."""
 
 from hypothesis import given, strategies as st
 
@@ -47,7 +47,7 @@ def test_names_and_contains():
     assert streams.names() == ("one",)
 
 
-# -- seed derivation / spawn --------------------------------------------------
+# -- seed derivation -----------------------------------------------------------
 
 def test_derive_seed_is_deterministic():
     assert derive_seed(7, "R1:3") == derive_seed(7, "R1:3")
@@ -66,36 +66,13 @@ def test_derive_seed_collision_free_over_keys(seed, i, j):
         assert derive_seed(seed, f"task:{i}") != derive_seed(seed, f"task:{j}")
 
 
-def test_spawn_reproduces_independent_of_creation_order():
-    """A spawned child's draws depend only on (parent seed, key) — not on
-    which siblings were spawned before it, mirroring how a parallel sweep
-    may schedule replicates in any order."""
-    parent = RandomStreams(seed=9)
-    in_order = [
-        parent.spawn(k).stream("arrivals").random(4).tolist() for k in range(3)
-    ]
-    reversed_parent = RandomStreams(seed=9)
-    out_of_order = {
-        k: reversed_parent.spawn(k).stream("arrivals").random(4).tolist()
-        for k in reversed(range(3))
-    }
-    assert in_order == [out_of_order[k] for k in range(3)]
-
-
-def test_spawned_children_are_mutually_independent():
-    parent = RandomStreams(seed=9)
-    a = parent.spawn(0).stream("arrivals").random(8).tolist()
-    b = parent.spawn(1).stream("arrivals").random(8).tolist()
-    assert a != b
-
-
 def test_spawn_does_not_collide_with_named_streams():
-    """spawn(key) and stream(name) use distinct derivations: a child keyed
-    'x' must not replay the parent's stream named 'x'."""
-    parent = RandomStreams(seed=9)
-    named = parent.stream("x").random(8).tolist()
-    spawned = RandomStreams(seed=9).spawn("x").stream("x").random(8).tolist()
-    assert named != spawned
+    """derive_seed(seed, key) and stream(name) use distinct separators: a
+    factory seeded with derive_seed(9, 'x') must not replay seed 9's stream
+    named 'x'."""
+    named = RandomStreams(seed=9).stream("x").random(8).tolist()
+    derived = RandomStreams(seed=derive_seed(9, "x"))
+    assert named != derived.stream("x").random(8).tolist()
 
 
 # -- streams of multi-cell runs -------------------------------------------------

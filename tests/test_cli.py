@@ -392,7 +392,7 @@ def test_run_all_writes_sidecar_next_to_the_journal(tmp_path, capsys):
     assert summary["metrics"]["runner.tasks_completed"] == 6
 
 
-# -- scale tier: --shards, sidecar tie-break, profile --json -------------------
+# -- scenario --shards, sidecar tie-break, profile --json ----------------------
 
 def test_latest_sidecar_mtime_breaks_lexical_ties(tmp_path):
     import argparse
@@ -435,19 +435,12 @@ def test_latest_sidecar_equal_mtimes_fall_back_to_path_order(tmp_path):
 
 
 def test_run_all_sharded_report_is_byte_identical_to_unsharded(tmp_path):
+    """The store-on sweep at ``--jobs 2`` matches the store-off serial one."""
     code, baseline = _run_all(tmp_path, "baseline.txt", "--jobs", "1", "--no-cache")
     assert code == 0
-    code, sharded = _run_all(
-        tmp_path, "sharded.txt", "--jobs", "2", "--no-cache", "--shards", "4"
-    )
+    code, staged = _run_all(tmp_path, "staged.txt", "--jobs", "2")
     assert code == 0
-    assert baseline.read_bytes() == sharded.read_bytes()
-
-
-def test_run_command_accepts_shards_flag(tmp_path, capsys):
-    assert main(["run", "r1", "--days", "1", "--shards", "2",
-                 "--cache-dir", str(tmp_path / "cache")]) == 0
-    assert "R1" in capsys.readouterr().out
+    assert baseline.read_bytes() == staged.read_bytes()
 
 
 def test_scenario_run_accepts_shards_flag(capsys):
@@ -455,6 +448,17 @@ def test_scenario_run_accepts_shards_flag(capsys):
                  "--days", "2", "--shards", "2"]) == 0
     out = capsys.readouterr().out
     assert "cells=1 shards=2" in out
+    assert "ok   merge-order" in out
+
+
+def test_scenario_run_merges_three_cells(tmp_path, capsys):
+    program = tmp_path / "three-cells.yaml"
+    program.write_text(
+        "name: three-cells\ndays: 1.5\nseed: 5\npopulation_scale: 0.15\n"
+    )
+    assert main(["scenario", "run", str(program), "--shards", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "cells=3 shards=2" in out
     assert "ok   merge-order" in out
 
 

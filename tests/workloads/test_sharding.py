@@ -1,10 +1,10 @@
-"""Tests for the scale tier: cells, scoped counters, merge, determinism.
+"""Tests for the multi-cell model: cells, scoped counters, merge, determinism.
 
-The acceptance contract of the sharded campaign path: cell decomposition is
-a pure function of the campaign key, cell simulations are isolated from
+The acceptance contract of the multi-cell path: cell decomposition is a
+pure function of the population, cell simulations are isolated from
 process history, the merge is deterministic, and — the headline property —
 the merged artifact is byte-identical at any shard count, collapsing to the
-literal legacy bytes at the canonical population scale.
+literal coupled bytes at the canonical population scale.
 """
 
 import pickle
@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.modalities import Modality
 from repro.infra.accounting import UsageRecord
 from repro.infra.job import AttributeKeys, JobState
-from repro.runner import ArtifactStore
 from repro.scenarios import check_merged_artifact
 from repro.scenarios.strategies import scenario_programs
 from repro.sim.rng import RandomStreams
@@ -25,10 +24,8 @@ from repro.workloads import sharding
 from repro.workloads.sharding import (
     CELL_ID_STRIDE,
     CELL_SCALE,
-    CellKey,
     cell_count,
     merge_cell_artifacts,
-    resolve_sharded_campaign,
     run_scenario_sharded,
     scoped_id_counters,
 )
@@ -93,36 +90,38 @@ def test_cell_members_rejects_bad_cell():
         cell_members(population, 2, 2)
 
 
-# -- CellKey -------------------------------------------------------------------
+# -- the config each cell simulates --------------------------------------------
 
-def test_cell_key_seed_is_spawn_derived():
-    key = CampaignKey.make(days=4.0, seed=11, population_scale=0.2)
-    cell_key = CellKey.for_cell(key, 1, 4)
-    assert cell_key.seed == RandomStreams(11).spawn("shard:1/4").seed
-    assert cell_key.campaign_seed == 11
-    assert cell_key.campaign_key == key
+class _Simulated(Exception):
+    """Carries the config :func:`simulate_cell_config` handed to the kernel."""
 
 
-def test_cell_key_seeds_are_distinct_across_cells():
-    key = CampaignKey.make(days=4.0, seed=11, population_scale=0.2)
-    seeds = {CellKey.for_cell(key, c, 4).seed for c in range(4)}
-    assert len(seeds) == 4
+def _cell_config(monkeypatch, cell, cells):
+    def capture(config):
+        raise _Simulated(config)
+
+    monkeypatch.setattr(sharding, "run_scenario", capture)
+    config = ScenarioConfig(
+        days=4.0, seed=11, population=PopulationSpec(scale=0.2)
+    )
+    with pytest.raises(_Simulated) as simulated:
+        sharding.simulate_cell_config(config, cell, cells)
+    return simulated.value.args[0]
 
 
 def test_cell_key_rejects_out_of_range_cell():
-    key = CampaignKey.make(days=4.0, seed=11, population_scale=0.2)
-    with pytest.raises(ValueError):
-        CellKey.for_cell(key, 4, 4)
+    """A ``(cell, cells)`` pair outside ``[0, cells)`` never simulates."""
+    config = ScenarioConfig(days=4.0, seed=11)
+    with pytest.raises(ValueError, match="shard"):
+        sharding.simulate_cell_config(config, 4, 4)
 
 
-def test_single_cell_config_has_no_shard_filter():
-    key = CampaignKey.make(days=4.0, seed=11, population_scale=CELL_SCALE)
-    assert CellKey.for_cell(key, 0, 1).config().shard is None
+def test_single_cell_config_has_no_shard_filter(monkeypatch):
+    assert _cell_config(monkeypatch, 0, 1).shard is None
 
 
-def test_multi_cell_config_carries_its_shard():
-    key = CampaignKey.make(days=4.0, seed=11, population_scale=0.2)
-    assert CellKey.for_cell(key, 2, 4).config().shard == (2, 4)
+def test_multi_cell_config_carries_its_shard(monkeypatch):
+    assert _cell_config(monkeypatch, 2, 4).shard == (2, 4)
 
 
 # -- scoped id counters --------------------------------------------------------
@@ -333,48 +332,7 @@ def test_random_programs_are_shard_invariant(program, scale):
     assert check_merged_artifact(four).ok
 
 
-# -- store-backed resolution ---------------------------------------------------
-
-def test_resolve_sharded_campaign_saves_and_reuses_cells(tmp_path, monkeypatch):
-    key = CampaignKey.make(days=1.5, seed=3, population_scale=0.15)
-    store = ArtifactStore(root=tmp_path)
-    first = resolve_sharded_campaign(key, store)
-    for cell in range(cell_count(key.population_scale)):
-        assert store.has(CellKey.for_cell(key, cell, 3))
-
-    # A second resolution must come entirely from the store.
-    def _no_sim(*args, **kwargs):
-        raise AssertionError("cell resimulated despite stored artifact")
-
-    monkeypatch.setattr(sharding, "simulate_cell", _no_sim)
-    second = resolve_sharded_campaign(key, store)
-    assert pickle.dumps(first) == pickle.dumps(second)
-    assert first.key == key
-
-
-def test_resolve_sharded_campaign_without_store_simulates(tmp_path):
-    key = CampaignKey.make(days=1.5, seed=3, population_scale=CELL_SCALE)
-    merged = resolve_sharded_campaign(key, None)
-    assert merged.key == key
-    assert merged.records
-
-
-# -- shard-mode plumbing -------------------------------------------------------
-
-def test_shard_mode_context_restores_previous_value():
-    assert sharding.shard_mode() is None
-    with sharding.sharded(4):
-        assert sharding.shard_mode() == 4
-        with sharding.sharded(2):
-            assert sharding.shard_mode() == 2
-        assert sharding.shard_mode() == 4
-    assert sharding.shard_mode() is None
-
-
-def test_shard_mode_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        sharding.set_shard_mode(0)
-
+# -- argument validation -------------------------------------------------------
 
 def test_run_scenario_sharded_rejects_nonpositive_shards():
     config = ScenarioConfig(days=1.0, seed=1)
