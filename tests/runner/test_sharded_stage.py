@@ -12,6 +12,7 @@ import pytest
 from repro.__main__ import main
 from repro.experiments.base import _campaign_cache, campaign_key
 from repro.runner import ArtifactStore, ParallelRunner
+from repro.workloads.sharding import CELL_ID_STRIDE, cell_count
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +49,24 @@ def test_sharded_canonical_sweep_is_byte_identical_to_legacy(tmp_path):
     assert staged.campaign_stats["distinct"] == 1
     assert staged.campaign_stats["simulated"] == 1
     assert staged.campaign_failures == []
+
+
+def test_sharded_stage_stores_one_artifact_per_cell(tmp_path):
+    """The runner's stage-1 cell is the whole campaign: a population the
+    model would cut into three cells is stored as one coupled artifact under
+    the campaign's key, with no per-cell entries and no cell-renumbered ids."""
+    store = ArtifactStore(root=tmp_path)
+    runner = ParallelRunner(jobs=1, use_cache=False, artifacts=store)
+    runner.run_many(_MULTI)
+    key = campaign_key(days=2.0, seed=3, population_scale=0.15)
+    assert cell_count(key.population_scale) == 3
+    assert len(store.entries()) == 1
+    artifact = ArtifactStore(root=tmp_path).load(key)
+    assert artifact is not None
+    assert artifact.key == key
+    assert artifact.records
+    # A merge would have moved cells 1 and 2 into [c * stride, ...).
+    assert all(r.job_id < CELL_ID_STRIDE for r in artifact.records)
 
 
 def test_sharded_multi_cell_outputs_are_jobs_invariant(tmp_path):

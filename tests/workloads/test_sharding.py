@@ -14,8 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.modalities import Modality
+from repro.experiments import base
 from repro.infra.accounting import UsageRecord
 from repro.infra.job import AttributeKeys, JobState
+from repro.runner import ArtifactStore
+from repro.runner.artifacts import activated_store
 from repro.scenarios import check_merged_artifact
 from repro.scenarios.strategies import scenario_programs
 from repro.sim.rng import RandomStreams
@@ -330,6 +333,30 @@ def test_random_programs_are_shard_invariant(program, scale):
     four = run_scenario_sharded(config, shards=4)
     assert pickle.dumps(one) == pickle.dumps(four)
     assert check_merged_artifact(four).ok
+
+
+# -- store-backed resolution ---------------------------------------------------
+
+def test_resolve_sharded_campaign_saves_and_reuses_cells(tmp_path, monkeypatch):
+    """A three-cell-sized campaign resolves coupled through the store: the
+    first resolution saves one artifact under the campaign key, and a fresh
+    store on the same root serves an equal one back without simulating."""
+    key = CampaignKey.make(days=1.5, seed=3, population_scale=0.15)
+    assert cell_count(key.population_scale) == 3
+    monkeypatch.setattr(base, "_campaign_cache", {})
+    with activated_store(ArtifactStore(root=tmp_path)):
+        first = base.campaign(**key.asdict())
+    assert len(ArtifactStore(root=tmp_path).entries()) == 1
+
+    def _no_sim(*args, **kwargs):
+        raise AssertionError("campaign resimulated despite stored artifact")
+
+    monkeypatch.setattr(base, "run_scenario", _no_sim)
+    base._campaign_cache.clear()
+    with activated_store(ArtifactStore(root=tmp_path)):
+        second = base.campaign(**key.asdict())
+    assert second == first
+    assert first.key == key
 
 
 # -- argument validation -------------------------------------------------------
