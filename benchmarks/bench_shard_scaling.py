@@ -5,9 +5,11 @@ multi-cell path (``run_scenario_sharded``), recording wall-clock and
 deterministic sim-event throughput per leg into
 ``results/BENCH_shard_scaling.json`` (the machine-readable convention of
 the other benches).  ``run_scenario_sharded`` runs cells one after another
-in one process, so every speedup recorded here is *algorithmic* —
-decoupling the shared heap and the O(population) per-event scans — not
-parallelism, and no ``--jobs`` value multiplies it.
+in one process, so every speedup recorded here is *algorithmic* — each
+cell's scheduler sees a shorter queue — not parallelism, and no ``--jobs``
+value multiplies it.  Every cell simulates the whole shared world, so a
+multi-cell run processes several times the coupled run's events: compare
+the legs by wall-clock, not by events per second.
 """
 
 import os
@@ -81,8 +83,10 @@ def test_shard_scaling():
         )
 
     # The tier's acceptance bar: at >=10x the canonical population the
-    # sharded path sustains >=2x the coupled baseline's event throughput
-    # (measured ~10x; the margin absorbs host noise).
+    # sharded path sustains >=2x the coupled baseline's event throughput.
+    # Since coupled EASY passes stopped building a profile per candidate,
+    # the measured ratio is 1.9-2.9x on a 2-vCPU host and this bar fails on
+    # some runs.
     big = [r for r in rows if r["cells"] >= 10]
     assert big, "sweep never reached the 10x population tier"
     for row in big:

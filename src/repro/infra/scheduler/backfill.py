@@ -100,24 +100,28 @@ class EasyBackfillScheduler(BatchScheduler):
         # reservation and backfill behind it.
         order = self._ordered_queue()
         head = order[0]
-        head_nodes = self.cluster.nodes_for(head.cores)
+        head_nodes = self._nodes[head.job_id]
         shadow_start = self._shadow(head)
         profile = self.build_profile(for_job=head)
         # Nodes free during the head's reserved window once it starts:
         free_at_shadow = profile.available_during(shadow_start, head.walltime)
         extra_nodes = free_at_shadow - head_nodes
 
+        # Cheap tests first: can_start_now is pure, so asking it last (and
+        # only for jobs that could not delay the head) changes nothing.
+        now = self.sim.now
         for job in order[1:]:
-            if not self.queue:
+            if self.free_nodes == 0:
                 return
-            nodes = self.cluster.nodes_for(job.cores)
+            nodes = self._nodes[job.job_id]
             if nodes > self.free_nodes:
+                continue
+            ends_before_shadow = now + job.walltime <= shadow_start + _EPSILON
+            fits_in_extra = nodes <= extra_nodes
+            if not (ends_before_shadow or fits_in_extra):
                 continue
             if not self.can_start_now(job):
                 continue
-            ends_before_shadow = self.sim.now + job.walltime <= shadow_start + _EPSILON
-            fits_in_extra = nodes <= extra_nodes
-            if ends_before_shadow or fits_in_extra:
-                self._start(job)
-                if fits_in_extra and not ends_before_shadow:
-                    extra_nodes -= nodes
+            self._start(job)
+            if fits_in_extra and not ends_before_shadow:
+                extra_nodes -= nodes

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.infra.cluster import Cluster
@@ -72,6 +74,7 @@ class BatchScheduler:
         #: queued jobs beyond this limit are held invisible to the policy
         #: until earlier ones start. None = unlimited.
         self.max_eligible_per_user = max_eligible_per_user
+        #: pending jobs in arrival order (failover replays it in that order)
         self.queue: list[Job] = []
         self.running: dict[int, RunningJob] = {}
         self.reservations: list[Reservation] = []
@@ -82,6 +85,8 @@ class BatchScheduler:
         self.completed: list[Job] = []
         self._seq = itertools.count()
         self._arrival_order: dict[int, int] = {}
+        #: nodes each queued job occupies, fixed at submission
+        self._nodes: dict[int, int] = {}
         self._completions: dict[int, object] = {}
         self._starts: dict[int, object] = {}
         self._next_wake: Optional[float] = None
@@ -104,6 +109,7 @@ class BatchScheduler:
         self._starts[job.job_id] = self.sim.event()
         self.queue.append(job)
         self._arrival_order[job.job_id] = next(self._seq)
+        self._nodes[job.job_id] = self.cluster.nodes_for(job.cores)
         self._schedule_pass()
         return job
 
@@ -132,7 +138,7 @@ class BatchScheduler:
     def cancel(self, job: Job) -> None:
         """Remove a pending job, or kill a running one."""
         if job.state is JobState.PENDING:
-            self.queue.remove(job)
+            self._dequeue(job)
             job.state = JobState.CANCELLED
             job.end_time = self.sim.now
             self._emit_end(job)
@@ -157,8 +163,7 @@ class BatchScheduler:
             raise ValueError(
                 f"can only withdraw a pending job; {job.job_id} is {job.state}"
             )
-        self.queue.remove(job)
-        self._arrival_order.pop(job.job_id, None)
+        self._dequeue(job)
         completion = self._completions.pop(job.job_id)
         start = self._starts.pop(job.job_id)
         job.state = JobState.CREATED
@@ -212,9 +217,8 @@ class BatchScheduler:
 
     def pending_node_seconds(self) -> float:
         """Total outstanding work in the queue (nodes x requested walltime)."""
-        return sum(
-            self.cluster.nodes_for(job.cores) * job.walltime for job in self.queue
-        )
+        nodes = self._nodes
+        return sum(nodes[job.job_id] * job.walltime for job in self.queue)
 
     def utilization_snapshot(self) -> float:
         """Fraction of nodes busy right now."""
@@ -272,11 +276,11 @@ class BatchScheduler:
         Policies override for richer orders (e.g. fairshare).  With
         ``max_eligible_per_user`` set, each user's jobs beyond the cap are
         dropped from the eligible order (they remain queued).
+
+        The queue is in arrival order and the sort is stable, so ties keep
+        FIFO order without an arrival key.
         """
-        order = sorted(
-            self.queue,
-            key=lambda job: (-job.priority, self._arrival_order[job.job_id]),
-        )
+        order = sorted(self.queue, key=attrgetter("priority"), reverse=True)
         return self._apply_user_cap(order)
 
     def _apply_user_cap(self, order: list[Job]) -> list[Job]:
@@ -313,14 +317,29 @@ class BatchScheduler:
         return profile
 
     def can_start_now(self, job: Job) -> bool:
-        """Whether ``job`` can start immediately without violating anything."""
-        if job.not_before is not None and self.sim.now < job.not_before - 1e-9:
+        """Whether ``job`` can start immediately without violating anything.
+
+        Running jobs only ever release nodes from now on, so ``free_nodes``
+        is the fewest free nodes anywhere in the job's window unless a
+        reservation the job may not use reaches into it.  Only then does
+        the answer need a profile.
+        """
+        now = self.sim.now
+        if job.not_before is not None and now < job.not_before - 1e-9:
             return False
         nodes = self.cluster.nodes_for(job.cores)
         if nodes > self.free_nodes:
             return False
+        window_end = now + job.walltime
+        if not any(
+            reservation.end > now
+            and reservation.start <= window_end
+            and not reservation.admits(job)
+            for reservation in self.reservations
+        ):
+            return True
         profile = self.build_profile(for_job=job)
-        return profile.available_during(self.sim.now, job.walltime) >= nodes
+        return profile.available_during(now, job.walltime) >= nodes
 
     def earliest_start(self, job: Job, not_before: Optional[float] = None) -> float:
         """Earliest feasible start time for ``job`` under current knowledge."""
@@ -332,10 +351,26 @@ class BatchScheduler:
         return profile.earliest_start(nodes, job.walltime, not_before=floor)
 
     # -- mechanics ----------------------------------------------------------------
+    def _dequeue(self, job: Job) -> None:
+        """Take a pending job out of the queue and drop its bookkeeping.
+
+        The queue is in arrival order, so the job is found by bisecting on
+        arrival numbers; ``queue.remove`` would run the dataclass
+        ``Job.__eq__`` against every job ahead of it.
+        """
+        arrival = self._arrival_order
+        index = bisect.bisect_left(
+            self.queue, arrival[job.job_id], key=lambda queued: arrival[queued.job_id]
+        )
+        assert self.queue[index] is job, "queue left arrival order"
+        del self.queue[index]
+        del arrival[job.job_id]
+        del self._nodes[job.job_id]
+
     def _start(self, job: Job) -> None:
-        nodes = self.cluster.nodes_for(job.cores)
+        nodes = self._nodes[job.job_id]
         assert nodes <= self.free_nodes, "policy started a job without room"
-        self.queue.remove(job)
+        self._dequeue(job)
         self.free_nodes -= nodes
         job.state = JobState.RUNNING
         job.start_time = self.sim.now

@@ -23,7 +23,8 @@ class CapacityProfile:
 
     Build one per scheduling decision: add each running job and inaccessible
     reservation with :meth:`add_usage`, then query.  Usage intervals are
-    half-open ``[start, end)``.
+    half-open ``[start, end)``.  The step function is computed on the first
+    query and reused until the next :meth:`add_usage`.
     """
 
     def __init__(self, total_nodes: int, now: float) -> None:
@@ -32,6 +33,7 @@ class CapacityProfile:
         self.total_nodes = total_nodes
         self.now = float(now)
         self._deltas: dict[float, int] = {}
+        self._cached_steps: tuple[list[float], list[int]] | None = None
 
     def add_usage(self, start: float, end: float, nodes: int) -> None:
         """Mark ``nodes`` as busy during ``[start, end)`` (clipped to now)."""
@@ -42,16 +44,19 @@ class CapacityProfile:
         start = max(start, self.now)
         self._deltas[start] = self._deltas.get(start, 0) + nodes
         self._deltas[end] = self._deltas.get(end, 0) - nodes
+        self._cached_steps = None
 
     def _steps(self) -> tuple[list[float], list[int]]:
         """(times, usage) where usage[i] holds on [times[i], times[i+1])."""
-        times = sorted(self._deltas)
-        usage: list[int] = []
-        running = 0
-        for t in times:
-            running += self._deltas[t]
-            usage.append(running)
-        return times, usage
+        if self._cached_steps is None:
+            times = sorted(self._deltas)
+            usage: list[int] = []
+            running = 0
+            for t in times:
+                running += self._deltas[t]
+                usage.append(running)
+            self._cached_steps = times, usage
+        return self._cached_steps
 
     def available_during(self, start: float, duration: float) -> int:
         """Minimum free nodes over the window ``[start, start + duration)``."""
@@ -78,8 +83,13 @@ class CapacityProfile:
     ) -> float:
         """Earliest ``t >= not_before`` with ``nodes`` free for ``duration``.
 
-        Always terminates: beyond the last usage event the machine is empty,
-        so a feasible start exists whenever ``nodes <= total_nodes``.
+        The candidates are ``not_before`` (clipped to now) and every later
+        step edge; the first whose window ``[t, t + duration)`` never exceeds
+        ``total_nodes - nodes`` busy nodes wins.  One forward sweep finds it:
+        a step over the limit lies in the window of every candidate from the
+        current one up to its own start, so the search resumes at the next
+        edge.  Always terminates: beyond the last usage event the machine is
+        empty, so a feasible start exists whenever ``nodes <= total_nodes``.
         """
         if nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {nodes}")
@@ -88,13 +98,25 @@ class CapacityProfile:
                 f"request for {nodes} nodes exceeds machine size "
                 f"{self.total_nodes}"
             )
+        if duration <= 0:
+            raise ValueError(f"duration must be positive, got {duration}")
         floor = self.now if not_before is None else max(not_before, self.now)
-        candidates = [floor] + [t for t in sorted(self._deltas) if t > floor]
-        for candidate in candidates:
-            if self.available_during(candidate, duration) >= nodes:
-                return candidate
-        # Unreachable: the final candidate is past all usage events.
-        raise AssertionError("no feasible start found")  # pragma: no cover
+        times, usage = self._steps()
+        limit = self.total_nodes - nodes
+        candidate = floor
+        # The step in force at the candidate counts even though it began
+        # earlier (-1: before the first edge, where nothing is busy).
+        in_force = bisect.bisect_right(times, floor) - 1
+        stop = candidate + duration - _EPSILON
+        i = max(in_force, 0)
+        while i < len(times) and (i == in_force or times[i] < stop):
+            if usage[i] > limit:
+                # The last step is empty, so an over-limit step has a successor.
+                in_force = i + 1
+                candidate = times[in_force]
+                stop = candidate + duration - _EPSILON
+            i += 1
+        return candidate
 
     @classmethod
     def from_usages(

@@ -146,24 +146,23 @@ def test_fcfs_preserves_arrival_order_under_equal_priority(specs):
     sim = Simulator()
     cluster = Cluster("mach", nodes=8, cores_per_node=1)
     scheduler = FcfsScheduler(sim, cluster)
-    started = []
+    arrived, started = [], []
     jobs = _submit_workload(sim, scheduler, specs)
-    original_start = scheduler._start
+    original_submit, original_start = scheduler.submit, scheduler._start
+
+    def recording_submit(job):
+        arrived.append(job.job_id)
+        return original_submit(job)
 
     def recording_start(job):
         started.append(job.job_id)
         original_start(job)
 
-    scheduler._start = recording_start
+    scheduler.submit, scheduler._start = recording_submit, recording_start
     sim.run(until=200_000.0)
 
     assert len(started) == len(jobs), "workload must drain"
-    arrival_rank = {
-        job_id: rank
-        for rank, job_id in enumerate(
-            sorted(scheduler._arrival_order, key=scheduler._arrival_order.get)
-        )
-    }
+    arrival_rank = {job_id: rank for rank, job_id in enumerate(arrived)}
     ranks = [arrival_rank[job_id] for job_id in started]
     assert ranks == sorted(ranks), "a later arrival started before an earlier one"
 

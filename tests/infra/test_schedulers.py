@@ -119,6 +119,27 @@ def test_cancel_running_job_frees_nodes():
     assert follower.start_time == 50.0
 
 
+@pytest.mark.parametrize("policy", [FcfsScheduler, EasyBackfillScheduler])
+def test_queue_bookkeeping_is_dropped_on_every_exit(policy):
+    """Starting, cancelling and withdrawing all leave by one path, which
+    forgets the job's arrival number and cached node count."""
+    sim, sched = make_rig(policy, nodes=2)
+    blocker = job(2, walltime=100.0)
+    cancelled, withdrawn = job(1, walltime=10.0), job(2, walltime=10.0)
+    queued = [job(1, walltime=10.0, priority=p) for p in (0.0, 5.0, 0.0)]
+    for j in [blocker, cancelled, withdrawn, *queued]:
+        sched.submit(j)
+    sched.cancel(cancelled)
+    sched.withdraw(withdrawn)
+    assert sched.queue == queued
+    assert len(sched._arrival_order) == len(sched._nodes) == len(queued)
+    sim.run()
+    assert cancelled.state is JobState.CANCELLED
+    assert withdrawn.state is JobState.CREATED
+    assert all(j.state is JobState.COMPLETED for j in [blocker, *queued])
+    assert (sched.queue, sched._arrival_order, sched._nodes) == ([], {}, {})
+
+
 def test_on_job_end_called_once_per_terminal_job():
     ended = []
     sim, sched = make_rig(FcfsScheduler, on_job_end=ended.append)
