@@ -35,9 +35,21 @@ with byte-identical reports (that is the point).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from datetime import datetime, timezone
+
+
+def _positive_days(text: str) -> float:
+    """argparse type for ``--days``: a float horizon above zero."""
+    try:
+        days = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < days < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return days
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
@@ -261,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment_id", help="e.g. T1, F3")
-    run_parser.add_argument("--days", type=float, default=None,
+    run_parser.add_argument("--days", type=_positive_days, default=None,
                             help="override the simulated horizon")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the master seed")
@@ -293,14 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     scenario_parser.add_argument("name", nargs="?", default=None,
                                  help="library entry (for run), or a path to "
                                       "a scenario YAML document")
-    scenario_parser.add_argument("--days", type=float, default=None,
+    scenario_parser.add_argument("--days", type=_positive_days, default=None,
                                  help="override the program's horizon")
     scenario_parser.add_argument("--seed", type=int, default=None,
                                  help="override the program's seed")
-    scenario_parser.add_argument("--shards", type=int, default=None,
-                                 help="simulate via population cells merged "
-                                      "deterministically (default: the "
-                                      "program's own shards knob)")
 
     cache_parser = sub.add_parser(
         "cache",
@@ -329,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
              "the event-kernel hot-path table",
     )
     profile_parser.add_argument("experiment", help="e.g. T2 or t2_usage")
-    profile_parser.add_argument("--days", type=float, default=None,
+    profile_parser.add_argument("--days", type=_positive_days, default=None,
                                 help="override the simulated horizon")
     profile_parser.add_argument("--seed", type=int, default=None,
                                 help="override the master seed")
@@ -412,30 +420,16 @@ def main(argv: list[str] | None = None) -> int:
             print(exc, file=sys.stderr)
             return 2
         config = program.compile(seed=args.seed, days=args.days)
-        shards = args.shards if args.shards is not None else program.shards
-        if shards < 1:
-            print(f"--shards must be >= 1, got {shards}", file=sys.stderr)
-            return 2
         print(f"scenario: {program.name}")
         if program.description:
             print(f"  {program.description}")
         print(f"  days={config.days:g} seed={config.seed} "
               f"sites={len(config.sites) if config.sites else config.scale}")
-        if shards > 1:
-            from repro.scenarios import check_merged_artifact
-            from repro.workloads.sharding import cell_count, run_scenario_sharded
-
-            artifact = run_scenario_sharded(config, shards=shards)
-            report = check_merged_artifact(artifact)
-            print(f"  cells={cell_count(config.population)} shards={shards}")
-            print(f"  records={len(artifact.records)} "
-                  f"nu={artifact.total_nu:.1f}")
-        else:
-            result = run_scenario(config)
-            report = check_scenario(result)
-            print(f"  records={len(result.records)} "
-                  f"nu={result.central.total_nu():.1f} "
-                  f"outages={sum(len(i.outages) for i in result.injectors)}")
+        result = run_scenario(config)
+        report = check_scenario(result)
+        print(f"  records={len(result.records)} "
+              f"nu={result.central.total_nu():.1f} "
+              f"outages={sum(len(i.outages) for i in result.injectors)}")
         print("invariants:")
         for line in report.summary().splitlines():
             print(f"  {line}")

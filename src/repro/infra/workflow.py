@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from repro.infra.job import AttributeKeys, Job, JobState
 from repro.infra.metascheduler import Metascheduler, NoEligibleSiteError
 from repro.infra.network import Network
@@ -48,46 +46,80 @@ class TaskSpec:
 class TaskGraph:
     """A DAG of :class:`TaskSpec` nodes.
 
-    Edges mean "consumer needs producer's output".  Acyclicity is enforced on
-    every edge insertion.
+    Edges mean "consumer needs producer's output".  Tasks and each task's
+    edges keep their insertion order, and a dependency that would close a
+    cycle is rejected.
     """
 
     def __init__(self, name: str = "workflow") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
+        self._specs: dict[str, TaskSpec] = {}
+        # Insertion-ordered adjacency (dicts used as ordered sets).
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
 
     def add_task(self, spec: TaskSpec) -> TaskSpec:
-        if spec.name in self._graph:
+        if spec.name in self._specs:
             raise ValueError(f"duplicate task {spec.name!r}")
-        self._graph.add_node(spec.name, spec=spec)
+        self._specs[spec.name] = spec
+        self._succ[spec.name] = {}
+        self._pred[spec.name] = {}
         return spec
 
     def add_dependency(self, producer: str, consumer: str) -> None:
         for task in (producer, consumer):
-            if task not in self._graph:
+            if task not in self._specs:
                 raise KeyError(f"unknown task {task!r}")
-        self._graph.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(producer, consumer)
+        if self._reaches(consumer, producer):
             raise ValueError(
                 f"dependency {producer!r} -> {consumer!r} would create a cycle"
             )
+        self._succ[producer][consumer] = None
+        self._pred[consumer][producer] = None
+
+    def _reaches(self, source: str, target: str) -> bool:
+        """Whether a path (possibly empty) leads from ``source`` to ``target``."""
+        seen = {source}
+        stack = [source]
+        while stack:
+            task = stack.pop()
+            if task == target:
+                return True
+            for child in self._succ[task]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return False
 
     # -- views -------------------------------------------------------------
     def spec(self, name: str) -> TaskSpec:
-        return self._graph.nodes[name]["spec"]
+        return self._specs[name]
 
     def tasks(self) -> list[str]:
-        return list(self._graph.nodes)
+        return list(self._specs)
 
     def predecessors(self, name: str) -> list[str]:
-        return list(self._graph.predecessors(name))
+        return list(self._pred[name])
 
     def successors(self, name: str) -> list[str]:
-        return list(self._graph.successors(name))
+        return list(self._succ[name])
 
     def topological_order(self) -> list[str]:
-        return list(nx.topological_sort(self._graph))
+        """Kahn's sort by generations: the sources in insertion order, then
+        each generation's newly freed children in edge-insertion order."""
+        indegree = {task: len(preds) for task, preds in self._pred.items()}
+        generation = [task for task, degree in indegree.items() if degree == 0]
+        order: list[str] = []
+        while generation:
+            order.extend(generation)
+            freed = []
+            for task in generation:
+                for child in self._succ[task]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        freed.append(child)
+            generation = freed
+        return order
 
     def critical_path_runtime(self) -> float:
         """Lower bound on makespan: longest runtime chain (no queue waits)."""
@@ -101,7 +133,7 @@ class TaskGraph:
         return max(longest.values(), default=0.0)
 
     def __len__(self) -> int:
-        return len(self._graph)
+        return len(self._specs)
 
     @classmethod
     def parameter_sweep(

@@ -28,12 +28,7 @@ from repro.scenarios.library import (
     teragrid_baseline,
 )
 from repro.scenarios.loader import load_program, program_from_dict, program_from_yaml
-from repro.scenarios.oracle import (
-    OracleReport,
-    Violation,
-    check_merged_artifact,
-    check_scenario,
-)
+from repro.scenarios.oracle import OracleReport, Violation, check_scenario
 
 __all__ = [
     "SCENARIO_LIBRARY",
@@ -48,7 +43,6 @@ __all__ = [
     "RecoverySuite",
     "ScenarioProgram",
     "Violation",
-    "check_merged_artifact",
     "check_scenario",
     "deadline_gateway_campaign",
     "grid5000_reconfig",

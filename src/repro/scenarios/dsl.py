@@ -336,19 +336,12 @@ class ScenarioProgram:
     metascheduler: SelectionStrategy = SelectionStrategy.PREDICTED_START
     #: population scale used only when no explicit mix is given
     population_scale: float = 0.05
-    #: ``repro scenario run`` hint: above 1, run this program as population
-    #: cells, simulated one after another and merged.  Purely operational —
-    #: ``compile()`` ignores it, and any value above 1 yields the same merged
-    #: bytes (the shard-merge determinism property).
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("program needs a name")
         if self.days <= 0:
             raise ValueError(f"days must be positive, got {self.days}")
-        if not (isinstance(self.shards, int) and self.shards >= 1):
-            raise ValueError(f"shards must be an int >= 1, got {self.shards!r}")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; "

@@ -134,7 +134,6 @@ _PROGRAM_KEYS = {
     "scheduler",
     "metascheduler",
     "population_scale",
-    "shards",
 }
 
 
@@ -179,8 +178,6 @@ def program_from_dict(data: dict) -> ScenarioProgram:
             ) from None
     if "population_scale" in data:
         kwargs["population_scale"] = float(data["population_scale"])
-    if "shards" in data:
-        kwargs["shards"] = int(data["shards"])
     return ScenarioProgram(**kwargs)
 
 

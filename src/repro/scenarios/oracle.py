@@ -36,7 +36,7 @@ from repro.core.classifier import AttributeClassifier
 from repro.core.modalities import Modality
 from repro.infra.units import HOUR
 
-__all__ = ["OracleReport", "Violation", "check_merged_artifact", "check_scenario"]
+__all__ = ["OracleReport", "Violation", "check_scenario"]
 
 #: Relative tolerance for float accumulations (charge sums differ only by
 #: summation order between the ledger and the record stream).
@@ -494,86 +494,4 @@ def check_scenario(result) -> OracleReport:
     check_classifier_sanity(result, report)
     check_bounded_lost_work(result, report)
     check_metrics_registry(result, report)
-    return report
-
-
-def check_merged_artifact(artifact) -> OracleReport:
-    """Invariants for a (possibly cell-merged) :class:`CampaignArtifact`.
-
-    Merged artifacts carry no live simulator state, so the full scenario
-    oracle cannot run; these are the properties the merge step itself must
-    preserve — the measurement experiments and AMIE reconciliation consume
-    the artifact assuming all of them hold:
-
-    * **merge-order** — records sorted by ``(end_time, job_id)``, the
-      canonical accounting-stream order every cell emits and the merge
-      re-establishes globally;
-    * **unique-job-ids** — cell renumbering kept job ids globally unique
-      (a stride collision would silently double-count usage);
-    * **truth-coverage** — every record's job id has a modality label in
-      ``job_truth`` (the classifier's ground truth survived the merge);
-    * **artifact-wellformed** — timestamps ordered and charges non-negative
-      per record;
-    * **conservation** — summed record charges match the artifact's
-      ``total_nu`` (cell totals were summed, not dropped or doubled);
-    * **identity-closure** — ``active_identities`` is a subset of the
-      identity-truth keys (set unions stayed within the labelled universe).
-    """
-    report = OracleReport()
-
-    records = artifact.records
-    order = [(r.end_time, r.job_id) for r in records]
-    report.record(
-        "merge-order",
-        order == sorted(order),
-        "records not sorted by (end_time, job_id)",
-    )
-
-    job_ids = [r.job_id for r in records]
-    dupes = len(job_ids) - len(set(job_ids))
-    report.record(
-        "unique-job-ids", dupes == 0, f"{dupes} duplicate job id(s) after merge"
-    )
-
-    unlabelled = [jid for jid in job_ids if jid not in artifact.job_truth]
-    report.record(
-        "truth-coverage",
-        not unlabelled,
-        f"{len(unlabelled)} record(s) missing from job_truth "
-        f"(first: {unlabelled[:3]})",
-    )
-
-    for record in records:
-        if record.start_time is not None and not (
-            record.submit_time <= record.start_time <= record.end_time
-        ):
-            report.record(
-                "artifact-wellformed",
-                False,
-                f"job {record.job_id}: timestamps out of order",
-            )
-            break
-        if record.charged_nu < 0:
-            report.record(
-                "artifact-wellformed",
-                False,
-                f"job {record.job_id}: negative charge {record.charged_nu}",
-            )
-            break
-    else:
-        report.record("artifact-wellformed", True)
-
-    charged = sum(r.charged_nu for r in records)
-    report.record(
-        "conservation",
-        _close(charged, artifact.total_nu, scale=max(abs(charged), 1.0)),
-        f"sum(charged_nu)={charged:.6f} != total_nu={artifact.total_nu:.6f}",
-    )
-
-    strays = set(artifact.active_identities) - set(artifact.identity_truth)
-    report.record(
-        "identity-closure",
-        not strays,
-        f"{len(strays)} active identity(ies) missing from identity_truth",
-    )
     return report

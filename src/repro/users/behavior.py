@@ -701,26 +701,16 @@ def start_behaviors(
     ctx: SimulationContext,
     population: Population,
     profiles: Optional[dict[Modality, BehaviorProfile]] = None,
-    member_indices: Optional[frozenset[int]] = None,
-) -> int:
-    """Spawn one behaviour process per user; returns how many were started.
+) -> None:
+    """Spawn one behaviour process per user, in ``population.users`` order.
 
-    ``member_indices`` restricts startup to the users at those ordinals in
-    ``population.users`` — the sharded scale tier builds the full population
-    in every cell (so gateways, accounts and per-user streams are identical
-    everywhere) but activates each user in exactly one cell.  The population
-    is laid out modality-block by modality-block, so a stride over ordinals
-    samples every modality in every cell.
+    Every user starts, so all of them share one simulator and its
+    schedulers' queues.
     """
     profiles = profiles or DEFAULT_PROFILES
-    started = 0
-    for index, user in enumerate(population.users):
-        if member_indices is not None and index not in member_indices:
-            continue
+    for user in population.users:
         behavior = _BEHAVIORS[user.modality]
         ctx.sim.process(
             behavior(ctx, user, profiles[user.modality]),
             name=f"{user.modality.value}:{user.user_id}",
         )
-        started += 1
-    return started

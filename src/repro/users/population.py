@@ -18,7 +18,7 @@ from repro.infra.allocations import AllocationLedger, AllocationType
 from repro.infra.site import ResourceProvider
 from repro.users.fields import sample_field
 
-__all__ = ["User", "PopulationSpec", "Population", "build_population", "cell_members"]
+__all__ = ["User", "PopulationSpec", "Population", "build_population"]
 
 #: 2010-era user counts per modality (shape targets; see DESIGN.md §3).
 BASE_USER_COUNTS: dict[Modality, int] = {
@@ -224,17 +224,3 @@ def build_population(
                 )
             )
     return population
-
-
-def cell_members(population: Population, cell: int, cells: int) -> frozenset[int]:
-    """Ordinals (indices into ``population.users``) active in one scale-tier cell.
-
-    Users are assigned round-robin by ordinal, so the cells partition the
-    population exactly and — because :func:`build_population` lays users out
-    modality block by modality block — every cell samples every modality.
-    """
-    if not 0 <= cell < cells:
-        raise ValueError(f"cell must be in [0, {cells}), got {cell}")
-    return frozenset(
-        index for index in range(len(population.users)) if index % cells == cell
-    )

@@ -46,12 +46,7 @@ from repro.users.behavior import (
     SimulationContext,
     start_behaviors,
 )
-from repro.users.population import (
-    Population,
-    PopulationSpec,
-    build_population,
-    cell_members,
-)
+from repro.users.population import Population, PopulationSpec, build_population
 from repro.users.profiles import BehaviorProfile
 from repro.workloads.scenarios import SiteSpec, federation_specs
 
@@ -108,11 +103,6 @@ class ScenarioConfig:
     #: recovery discipline against ``packet_faults`` (None = full defaults:
     #: retransmit with backoff + end-of-run reconciliation re-sends)
     ingest_recovery: Optional[IngestRecoveryPolicy] = None
-    #: population cell ``(cell, cells)`` of the multi-cell model: the full
-    #: population is built identically in every cell, but only users whose
-    #: ordinal satisfies ``ordinal % cells == cell`` run behavior processes.
-    #: ``None`` simulates everyone in one coupled run.
-    shard: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         # Fail at construction with a nameable knob, not downstream with a
@@ -162,16 +152,6 @@ class ScenarioConfig:
                 f"ingest_recovery must be an IngestRecoveryPolicy, "
                 f"got {self.ingest_recovery!r}"
             )
-        if self.shard is not None:
-            cell, cells = self.shard
-            if not (
-                isinstance(cell, int) and isinstance(cells, int)
-                and cells >= 1 and 0 <= cell < cells
-            ):
-                raise ValueError(
-                    f"shard must be (cell, cells) with 0 <= cell < cells, "
-                    f"got {self.shard!r}"
-                )
 
     @property
     def horizon(self) -> float:
@@ -269,9 +249,6 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
         config = replace(config, **overrides)
 
     sim = Simulator()
-    # Every population cell of a multi-cell campaign uses the same master
-    # seed, so the shared world (population, gateways, outages) is identical
-    # across cells and cell outputs are independent of the order cells run in.
     streams = RandomStreams(seed=config.seed)
     ledger = infra.AllocationLedger()
     central = CentralAccountingDB()
@@ -380,12 +357,7 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
         network=network,
         recovery=config.recovery,
     )
-    member_indices = None
-    if config.shard is not None:
-        member_indices = cell_members(population, *config.shard)
-    start_behaviors(
-        ctx, population, profiles=config.profiles, member_indices=member_indices
-    )
+    start_behaviors(ctx, population, profiles=config.profiles)
 
     sim.run(until=config.horizon)
     for provider in providers:

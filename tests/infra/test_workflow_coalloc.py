@@ -57,6 +57,8 @@ def test_task_graph_rejects_cycles_and_duplicates():
     with pytest.raises(ValueError):
         graph.add_dependency("b", "a")
     with pytest.raises(ValueError):
+        graph.add_dependency("a", "a")
+    with pytest.raises(ValueError):
         graph.add_task(TaskSpec(name="a", cores=1, walltime=10.0, true_runtime=5.0))
     with pytest.raises(KeyError):
         graph.add_dependency("a", "zz")
@@ -84,6 +86,65 @@ def test_parameter_sweep_factory():
         "flat", width=3, cores=1, walltime=HOUR, true_runtime=HOUR, with_merge=False
     )
     assert len(flat) == 3
+
+
+def _task(name):
+    return TaskSpec(name=name, cores=1, walltime=10.0, true_runtime=5.0)
+
+
+def test_topological_order_two_sources_feeding_a_diamond():
+    """Sources in insertion order, then each generation's freed children in
+    edge-insertion order (``right`` before ``left``), never sorted names."""
+    graph = TaskGraph("g")
+    for name in ("b-src", "a-src", "top", "left", "right", "bottom"):
+        graph.add_task(_task(name))
+    for producer, consumer in [
+        ("b-src", "top"), ("a-src", "top"), ("top", "right"),
+        ("top", "left"), ("left", "bottom"), ("right", "bottom"),
+    ]:
+        graph.add_dependency(producer, consumer)
+    assert graph.topological_order() == [
+        "b-src", "a-src", "top", "right", "left", "bottom",
+    ]
+    assert graph.successors("top") == ["right", "left"]
+    assert graph.predecessors("bottom") == ["left", "right"]
+    assert graph.predecessors("top") == ["b-src", "a-src"]
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))),
+    edges=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
+)
+def test_task_graph_matches_networkx(nx, order, edges):
+    """Property: order, adjacency and cycle verdicts equal a networkx DiGraph
+    built from the same insertions."""
+    names = [f"t{k}" for k in order]
+    graph = TaskGraph("g")
+    reference = nx.DiGraph()
+    for name in names:
+        graph.add_task(_task(name))
+        reference.add_node(name)
+    for i, j in edges:
+        producer, consumer = names[i % len(names)], names[j % len(names)]
+        reference.add_edge(producer, consumer)
+        cyclic = not nx.is_directed_acyclic_graph(reference)
+        if cyclic:
+            reference.remove_edge(producer, consumer)
+            with pytest.raises(ValueError, match="cycle"):
+                graph.add_dependency(producer, consumer)
+        else:
+            graph.add_dependency(producer, consumer)
+    assert graph.tasks() == list(reference.nodes)
+    assert graph.topological_order() == list(nx.topological_sort(reference))
+    for name in names:
+        assert graph.predecessors(name) == list(reference.predecessors(name))
+        assert graph.successors(name) == list(reference.successors(name))
 
 
 # ------------------------------------------------------------------- engine

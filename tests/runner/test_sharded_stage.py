@@ -1,10 +1,10 @@
 """Tests for the campaign stage on campaigns above the canonical population.
 
-The multi-cell model would split such a campaign into cells (R1 at
-population scale 0.15 is three); the runner does not.  It simulates every
-campaign coupled, exactly once, into one artifact under its
-:class:`CampaignKey`, so a sweep's bytes are the same at any ``--jobs`` and
-with the store on or off.  Cells exist only behind ``repro scenario run``.
+R1 at population scale 0.15 has three times the canonical population.  The
+runner simulates it like every other campaign: coupled, exactly once, into
+one artifact under its :class:`CampaignKey`, so a sweep's bytes are the same
+at any ``--jobs`` and with the store on or off.  (The test names keep the
+vocabulary of the removed multi-cell model, whose contracts they carry.)
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.__main__ import main
 from repro.experiments.base import _campaign_cache, campaign_key
 from repro.runner import ArtifactStore, ParallelRunner
-from repro.workloads.sharding import CELL_ID_STRIDE, cell_count
 
 
 @pytest.fixture(autouse=True)
@@ -27,7 +26,8 @@ def fresh_campaign_memo():
 #: Canonical-scale sweep: two readers of ONE campaign.
 _CANONICAL = [("T1", {"days": 6.0}), ("T2", {"days": 6.0})]
 
-#: One campaign of three cells' population: R1 exposes population_scale.
+#: One campaign at three times the canonical population: R1 exposes
+#: population_scale.
 _MULTI = [("R1", {"days": 2.0, "seeds": (3,), "population_scale": 0.15})]
 
 
@@ -52,25 +52,22 @@ def test_sharded_canonical_sweep_is_byte_identical_to_legacy(tmp_path):
 
 
 def test_sharded_stage_stores_one_artifact_per_cell(tmp_path):
-    """The runner's stage-1 cell is the whole campaign: a population the
-    model would cut into three cells is stored as one coupled artifact under
-    the campaign's key, with no per-cell entries and no cell-renumbered ids."""
+    """The runner's stage-1 unit is the whole campaign: a population three
+    times the canonical one is stored as one coupled artifact under the
+    campaign's key."""
     store = ArtifactStore(root=tmp_path)
     runner = ParallelRunner(jobs=1, use_cache=False, artifacts=store)
     runner.run_many(_MULTI)
     key = campaign_key(days=2.0, seed=3, population_scale=0.15)
-    assert cell_count(key.population_scale) == 3
     assert len(store.entries()) == 1
     artifact = ArtifactStore(root=tmp_path).load(key)
     assert artifact is not None
     assert artifact.key == key
     assert artifact.records
-    # A merge would have moved cells 1 and 2 into [c * stride, ...).
-    assert all(r.job_id < CELL_ID_STRIDE for r in artifact.records)
 
 
 def test_sharded_multi_cell_outputs_are_jobs_invariant(tmp_path):
-    """A three-cell-sized campaign runs coupled: ``jobs=1`` and ``jobs=2``
+    """A campaign at three times the canonical population runs coupled: ``jobs=1`` and ``jobs=2``
     give the same bytes, and stage 1 stores exactly one artifact, under the
     campaign's own key."""
     serial_store = ArtifactStore(root=tmp_path / "serial")
@@ -116,9 +113,12 @@ def test_storeless_sharded_run_counts_no_fallbacks():
 
 
 def test_shards_flag_validation():
-    """Only ``scenario run`` takes ``--shards``, and only a positive count."""
-    for argv in (["run-all", "--shards", "2"], ["run", "R1", "--shards", "2"]):
+    """No command takes ``--shards``: argparse rejects it with exit 2."""
+    for argv in (
+        ["run-all", "--shards", "2"],
+        ["run", "R1", "--shards", "2"],
+        ["scenario", "run", "teragrid-baseline", "--shards", "2"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-    assert main(["scenario", "run", "teragrid-baseline", "--shards", "0"]) == 2

@@ -110,8 +110,9 @@ def test_defaults_fill_in_for_missing_sections():
 
 
 def test_unknown_top_level_key_rejected():
-    with pytest.raises(ValueError, match="unknown scenario key"):
-        program_from_dict({"name": "x", "schedular": "fcfs"})
+    for data in ({"name": "x", "schedular": "fcfs"}, {"name": "x", "shards": 2}):
+        with pytest.raises(ValueError, match="unknown scenario key"):
+            program_from_dict(data)
 
 
 def test_unknown_section_key_rejected():

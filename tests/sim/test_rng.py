@@ -75,10 +75,9 @@ def test_spawn_does_not_collide_with_named_streams():
     assert named != derived.stream("x").random(8).tolist()
 
 
-# -- streams of multi-cell runs -------------------------------------------------
-# Multi-cell (sharded) runs draw from RandomStreams like the coupled run; these
-# pin the contracts that tier relies on, through the Generator methods the
-# simulator components call.
+# -- streams as the simulator uses them ----------------------------------------
+# Every campaign, at any population, draws from RandomStreams; these pin the
+# stream contracts through the Generator methods the simulator components call.
 
 
 def test_buffered_streams_are_deterministic():

@@ -392,7 +392,7 @@ def test_run_all_writes_sidecar_next_to_the_journal(tmp_path, capsys):
     assert summary["metrics"]["runner.tasks_completed"] == 6
 
 
-# -- scenario --shards, sidecar tie-break, profile --json ----------------------
+# -- scenario run, --days, sidecar tie-break, profile --json -------------------
 
 def test_latest_sidecar_mtime_breaks_lexical_ties(tmp_path):
     import argparse
@@ -443,23 +443,36 @@ def test_run_all_sharded_report_is_byte_identical_to_unsharded(tmp_path):
     assert baseline.read_bytes() == staged.read_bytes()
 
 
-def test_scenario_run_accepts_shards_flag(capsys):
-    assert main(["scenario", "run", "teragrid-baseline",
-                 "--days", "2", "--shards", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "cells=1 shards=2" in out
-    assert "ok   merge-order" in out
-
-
 def test_scenario_run_merges_three_cells(tmp_path, capsys):
+    """A program three times the canonical population runs as one coupled
+    simulation and passes the scenario oracle."""
     program = tmp_path / "three-cells.yaml"
     program.write_text(
         "name: three-cells\ndays: 1.5\nseed: 5\npopulation_scale: 0.15\n"
     )
-    assert main(["scenario", "run", str(program), "--shards", "2"]) == 0
+    assert main(["scenario", "run", str(program)]) == 0
     out = capsys.readouterr().out
-    assert "cells=3 shards=2" in out
-    assert "ok   merge-order" in out
+    assert "invariants:" in out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "T1", "--days", "0"],
+        ["scenario", "run", "teragrid-baseline", "--days", "0"],
+        ["profile", "t2_usage", "--days", "0"],
+    ],
+)
+def test_nonpositive_days_is_a_usage_error(argv, capsys):
+    """``--days`` is checked at parse time: exit 2 with a usage message,
+    before any simulation or task attempt."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--days: must be a positive number, got 0" in err
 
 
 def test_profile_json_writes_benchmark_payload(tmp_path, capsys):
