@@ -30,11 +30,11 @@ def run_policy(label, factory, days=28.0, load=0.65, heroes_per_week=4):
     scheduler = factory(sim, cluster)
     streams = RandomStreams(23)
     background = single_site_workload(
-        streams.stream("bg"), cluster, days, load=load,
+        sim, streams.stream("bg"), cluster, days, load=load,
         walltime_pad=(2.0, 5.0), runtime_median=4 * HOUR,
     )
     heroes = _hero_arrivals(
-        streams.stream("heroes"), cluster, days, per_week=heroes_per_week
+        sim, streams.stream("heroes"), cluster, days, per_week=heroes_per_week
     )
     arrivals = sorted(background + heroes, key=lambda pair: pair[0])
     sim.process(_feeder(sim, scheduler, arrivals), name="feeder")

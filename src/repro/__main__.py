@@ -41,15 +41,15 @@ import time
 from datetime import datetime, timezone
 
 
-def _positive_days(text: str) -> float:
-    """argparse type for ``--days``: a float horizon above zero."""
+def _positive_number(text: str) -> float:
+    """argparse type for ``--days``/``--task-timeout``: a finite float > 0."""
     try:
-        days = float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < days < math.inf:
+    if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
-    return days
+    return value
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
@@ -61,7 +61,8 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="store root for task results and campaign artifacts "
                              "(default: REPRO_CACHE_DIR or ~/.cache/repro)")
-    parser.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
+    parser.add_argument("--task-timeout", type=_positive_number, default=None,
+                        metavar="SECONDS",
                         help="wall-clock limit per task; overruns are retried, "
                              "then recorded as failures (default: unlimited)")
     parser.add_argument("--retries", type=int, default=4, metavar="N",
@@ -273,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment_id", help="e.g. T1, F3")
-    run_parser.add_argument("--days", type=_positive_days, default=None,
+    run_parser.add_argument("--days", type=_positive_number, default=None,
                             help="override the simulated horizon")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the master seed")
@@ -305,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     scenario_parser.add_argument("name", nargs="?", default=None,
                                  help="library entry (for run), or a path to "
                                       "a scenario YAML document")
-    scenario_parser.add_argument("--days", type=_positive_days, default=None,
+    scenario_parser.add_argument("--days", type=_positive_number, default=None,
                                  help="override the program's horizon")
     scenario_parser.add_argument("--seed", type=int, default=None,
                                  help="override the program's seed")
@@ -337,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
              "the event-kernel hot-path table",
     )
     profile_parser.add_argument("experiment", help="e.g. T2 or t2_usage")
-    profile_parser.add_argument("--days", type=_positive_days, default=None,
+    profile_parser.add_argument("--days", type=_positive_number, default=None,
                                 help="override the simulated horizon")
     profile_parser.add_argument("--seed", type=int, default=None,
                                 help="override the master seed")

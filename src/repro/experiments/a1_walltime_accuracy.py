@@ -30,7 +30,7 @@ def _measure(pad: tuple[float, float], days: float, seed: int, load: float):
     scheduler = EasyBackfillScheduler(sim, cluster)
     rng = RandomStreams(seed).stream("a1-workload")
     arrivals = single_site_workload(
-        rng, cluster, days, load=load, walltime_pad=pad
+        sim, rng, cluster, days, load=load, walltime_pad=pad
     )
     sim.process(_feeder(sim, scheduler, arrivals), name="feeder")
     horizon = days * DAY

@@ -31,7 +31,7 @@ def _measure(sticky: bool, pad: tuple[float, float], days: float, seed: int,
     scheduler = EasyBackfillScheduler(sim, cluster, sticky_shadow=sticky)
     rng = RandomStreams(seed).stream("a2-workload")
     arrivals = single_site_workload(
-        rng, cluster, days, load=load, walltime_pad=pad,
+        sim, rng, cluster, days, load=load, walltime_pad=pad,
         runtime_median=3 * HOUR,
     )
     sim.process(_feeder(sim, scheduler, arrivals), name="feeder")

@@ -76,6 +76,7 @@ def _run_campaign(
                 cores=cores,
                 walltime=remaining * 1.2 + restart_overhead,
                 true_runtime=remaining,
+                job_id=sim.next_id("job"),
             )
             site.submit(job)
             yield site.scheduler.wait_for(job)

@@ -229,8 +229,8 @@ def run_via_tasks(experiment_id: str, **knobs) -> ExperimentOutput:
     return merge_tasks(experiment_id, partials, **knobs)
 
 
-#: In-process campaign memo, keyed by canonical :class:`CampaignKey`.  Holds
-#: live :class:`ScenarioResult` objects (no artifact store) or
+#: The process's one campaign memo, keyed by canonical :class:`CampaignKey`.
+#: Holds live :class:`ScenarioResult` objects (no artifact store) or
 #: :class:`CampaignArtifact` snapshots (store active) — the two expose the
 #: same measurement surface.
 _campaign_cache: dict[CampaignKey, ScenarioResult | CampaignArtifact] = {}
@@ -269,10 +269,20 @@ def campaign(
         gateway_tagging_coverage=gateway_tagging_coverage,
         gateway_adoption_ramp_days=gateway_adoption_ramp_days,
     )
+    return _resolve(key, expected=False)[0]
 
+
+def _resolve(
+    key: CampaignKey, expected: bool
+) -> tuple[ScenarioResult | CampaignArtifact, bool]:
+    """``(campaign, simulated)``: memo, then the active store, then a live run.
+
+    ``expected`` marks the runner's stage 1, where a live simulation is the
+    planned work; anywhere else one under an active store is a fallback.
+    """
     cached = _campaign_cache.get(key)
     if cached is not None:
-        return cached
+        return cached, False
 
     from repro.runner import artifacts as artifact_mod
 
@@ -281,17 +291,17 @@ def campaign(
         artifact = store.load(key)
         if artifact is not None:
             _campaign_cache[key] = artifact
-            return artifact
+            return artifact, False
 
     result = run_scenario(key.config())
     if store is not None:
-        artifact_mod.note_simulation()
-        artifact = CampaignArtifact.from_result(result, key=key)
-        store.save(key, artifact)
-        _campaign_cache[key] = artifact
-        return artifact
+        artifact_mod.STATS.simulations += 1
+        if not expected:
+            artifact_mod.STATS.fallbacks += 1
+        result = CampaignArtifact.from_result(result, key=key)
+        store.save(key, result)
     _campaign_cache[key] = result
-    return result
+    return result, True
 
 
 # -- campaign dependencies (the runner's stage-1 planning input) ---------------
@@ -329,24 +339,21 @@ def task_campaign_keys(task: ExperimentTask) -> tuple[CampaignKey, ...]:
 def _execute_campaign_stage(key_fields: dict) -> dict:
     """Stage-1 task body: ensure one campaign's artifact exists.
 
-    Runs inside a worker (or inline): resolves :func:`campaign` under the
-    stage marker so a live simulation counts as *expected* work rather than
-    a dedup miss, and reports whether this process actually simulated.
+    Runs inside a worker (or inline): resolves the campaign as *expected*
+    work, so a live simulation is not counted as a dedup miss, and reports
+    whether this process actually simulated.
     """
     from repro.runner import artifacts as artifact_mod
 
     key = CampaignKey.make(**key_fields)
-    with artifact_mod.campaign_stage():
-        before = artifact_mod.STATS.simulations
-        result = campaign(**key.asdict())
-        simulated = artifact_mod.STATS.simulations > before
-        store = artifact_mod.active_store()
-        if store is not None and not store.has(key):
-            # A memo hit (e.g. a store-less run earlier in this process, or
-            # a forked worker inheriting the parent memo) satisfied the call
-            # without writing: stage 1's one job is to leave an artifact
-            # behind for stage 2 and future runs, so persist it now.
-            if not isinstance(result, CampaignArtifact):
-                result = CampaignArtifact.from_result(result, key=key)
-            store.save(key, result)
+    result, simulated = _resolve(key, expected=True)
+    store = artifact_mod.active_store()
+    if store is not None and not store.has(key):
+        # A memo hit (e.g. a store-less run earlier in this process, or
+        # a forked worker inheriting the parent memo) satisfied the call
+        # without writing: stage 1's one job is to leave an artifact
+        # behind for stage 2 and future runs, so persist it now.
+        if not isinstance(result, CampaignArtifact):
+            result = CampaignArtifact.from_result(result, key=key)
+        store.save(key, result)
     return {"campaign": key.asdict(), "simulated": simulated}

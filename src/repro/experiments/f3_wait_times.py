@@ -23,6 +23,7 @@ __all__ = ["run", "single_site_workload"]
 
 
 def single_site_workload(
+    sim: Simulator,
     rng,
     cluster: Cluster,
     days: float,
@@ -32,8 +33,9 @@ def single_site_workload(
 ):
     """A mixed batch workload offering ``load`` of the machine's capacity.
 
-    Returns ``(submit_time, job)`` pairs: Poisson arrivals of jobs whose mean
-    demand (cores x runtime) matches the target offered load.
+    Returns ``(submit_time, job)`` pairs for ``sim`` to run: Poisson
+    arrivals of jobs whose mean demand (cores x runtime) matches the target
+    offered load.
     ``walltime_pad`` bounds the users' over-request factor (larger pads make
     backfill planning more conservative).
     """
@@ -61,6 +63,7 @@ def single_site_workload(
                     cores=cores,
                     walltime=runtime * float(rng.uniform(*walltime_pad)),
                     true_runtime=runtime,
+                    job_id=sim.next_id("job"),
                 ),
             )
         )
@@ -80,7 +83,7 @@ def _run_policy(policy, arrivals_factory, days, nodes=64, cores_per_node=8):
     sim = Simulator()
     cluster = Cluster("mach", nodes=nodes, cores_per_node=cores_per_node)
     scheduler = policy(sim, cluster)
-    arrivals = arrivals_factory(cluster)
+    arrivals = arrivals_factory(sim, cluster)
     sim.process(_feeder(sim, scheduler, arrivals), name="feeder")
     horizon = days * DAY
     sim.run(until=horizon)
@@ -96,9 +99,9 @@ def _run_policy(policy, arrivals_factory, days, nodes=64, cores_per_node=8):
 
 @register("F3")
 def run(days: float = 21.0, seed: int = 5, load: float = 0.85) -> ExperimentOutput:
-    def arrivals_factory(cluster):
+    def arrivals_factory(sim, cluster):
         rng = RandomStreams(seed).stream("f3-workload")
-        return single_site_workload(rng, cluster, days, load=load)
+        return single_site_workload(sim, rng, cluster, days, load=load)
 
     classes = [("small (<=8 cores)", 1, 8), ("medium (9-64)", 9, 64),
                ("large (>64)", 65, 10**9)]

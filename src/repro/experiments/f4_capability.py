@@ -23,7 +23,7 @@ from repro.sim import RandomStreams, Simulator
 __all__ = ["run"]
 
 
-def _hero_arrivals(rng, cluster, days, per_week=2):
+def _hero_arrivals(sim, rng, cluster, days, per_week=2):
     jobs = []
     horizon = days * DAY
     t = 0.0
@@ -42,6 +42,7 @@ def _hero_arrivals(rng, cluster, days, per_week=2):
                     cores=cluster.total_cores,
                     walltime=runtime * 1.2,
                     true_runtime=runtime,
+                    job_id=sim.next_id("job"),
                     # Capability runs are the mission: they jump the queue.
                     # Under plain EASY each arrival therefore forces its own
                     # opportunistic drain; the weekly policy batches them.
@@ -60,6 +61,7 @@ def _run(policy_factory, days, seed, load, per_week):
     # Conservative walltime over-requests and longer jobs make opportunistic
     # drains expensive, the regime the weekly policy was designed for.
     background = single_site_workload(
+        sim,
         streams.stream("f4-background"),
         cluster,
         days,
@@ -68,7 +70,7 @@ def _run(policy_factory, days, seed, load, per_week):
         runtime_median=4 * HOUR,
     )
     heroes = _hero_arrivals(
-        streams.stream("f4-heroes"), cluster, days, per_week=per_week
+        sim, streams.stream("f4-heroes"), cluster, days, per_week=per_week
     )
     arrivals = sorted(background + heroes, key=lambda pair: pair[0])
     sim.process(_feeder(sim, scheduler, arrivals), name="feeder")

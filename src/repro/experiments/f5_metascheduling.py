@@ -75,6 +75,7 @@ def _measure(strategy, publish_interval, days, seed, load):
                 cores=cores,
                 walltime=runtime * 1.5,
                 true_runtime=runtime,
+                job_id=sim.next_id("job"),
             )
             meta.submit(job)
             submitted.append(job)

@@ -64,7 +64,7 @@ def _coupled_comparison() -> dict:
     providers, meta, network = _federation(sim, nodes=(64,))
     job = Job(
         user="u", account="acct", cores=256, walltime=4 * HOUR,
-        true_runtime=2 * HOUR,
+        true_runtime=2 * HOUR, job_id=sim.next_id("job"),
     )
     providers[0].submit(job)
     sim.run(until=10 * HOUR)

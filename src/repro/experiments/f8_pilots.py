@@ -66,7 +66,7 @@ def _make_site(sim, seed, days, load, max_eligible_per_user=4):
         sim, cluster, ledger, central, scheduler_factory=factory
     )
     rng = RandomStreams(seed).stream("f8-background")
-    arrivals = single_site_workload(rng, cluster, days, load=load)
+    arrivals = single_site_workload(sim, rng, cluster, days, load=load)
     sim.process(_feeder(sim, site.scheduler, arrivals), name="background")
     return site, central
 
@@ -93,6 +93,7 @@ def _direct_arm(seed, days, load, width, task_cores, task_runtime):
                 cores=task_cores,
                 walltime=task_runtime * 1.5,
                 true_runtime=task_runtime,
+                job_id=sim.next_id("job"),
                 attributes={AttributeKeys.ENSEMBLE_ID: "f8-sweep"},
             )
             site.submit(job)

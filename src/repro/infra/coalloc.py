@@ -12,7 +12,6 @@ machine would need — the slowdown measured in experiment F7.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,8 +22,6 @@ from repro.infra.units import MINUTE
 from repro.sim import AllOf, Simulator
 
 __all__ = ["CoAllocator", "CoAllocation"]
-
-_coalloc_ids = itertools.count(1)
 
 
 @dataclass
@@ -107,7 +104,7 @@ class CoAllocator:
     def _coordinate(
         self, user, account, parts, walltime, single_site_runtime, true_modality
     ):
-        coalloc_id = f"coalloc-{next(_coalloc_ids)}"
+        coalloc_id = f"coalloc-{self.sim.next_id('coalloc')}"
         coupled_runtime = single_site_runtime * self.wan_overhead_factor
         record = CoAllocation(
             coalloc_id=coalloc_id,
@@ -125,6 +122,7 @@ class CoAllocator:
                 cores=cores,
                 walltime=walltime,
                 true_runtime=coupled_runtime,
+                job_id=self.sim.next_id("job"),
                 attributes={AttributeKeys.COALLOCATION_ID: coalloc_id},
                 true_modality=true_modality,
             )

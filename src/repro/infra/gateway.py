@@ -222,6 +222,7 @@ class ScienceGateway:
             cores=cores,
             walltime=walltime,
             true_runtime=true_runtime,
+            job_id=site.sim.next_id("job"),
             will_fail=will_fail,
             attributes=attributes,
             true_modality=true_modality,

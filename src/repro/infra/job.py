@@ -16,13 +16,10 @@ A :class:`Job` carries two kinds of information:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = ["Job", "JobState", "SubmissionInterface", "AttributeKeys"]
-
-_job_ids = itertools.count(1)
 
 
 class JobState(enum.Enum):
@@ -78,7 +75,8 @@ class Job:
     seconds; ``true_runtime`` the duration the application would run if not
     limited (``min(true_runtime, walltime)`` elapses on the machine).  Set
     ``will_fail`` for application failures: the job ends at ``true_runtime``
-    in :attr:`JobState.FAILED`.
+    in :attr:`JobState.FAILED`.  ``job_id`` comes from the simulator the job
+    will run in (``sim.next_id("job")``).
     """
 
     user: str
@@ -86,7 +84,7 @@ class Job:
     cores: int
     walltime: float
     true_runtime: float
-    job_id: int = field(default_factory=lambda: next(_job_ids))
+    job_id: int
     will_fail: bool = False
     priority: float = 0.0
     #: earliest time the job may start (used for co-allocated synchronized

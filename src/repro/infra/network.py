@@ -20,8 +20,6 @@ from repro.sim.process import Event
 
 __all__ = ["Network", "NetworkLink", "Transfer"]
 
-_transfer_ids = itertools.count(1)
-
 
 @dataclass
 class NetworkLink:
@@ -35,7 +33,7 @@ class NetworkLink:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Transfer:
     """An in-flight bulk data movement between two sites.
 
@@ -48,7 +46,6 @@ class Transfer:
     size_bytes: float
     started_at: float
     tag: Optional[str] = None
-    transfer_id: int = field(default_factory=lambda: next(_transfer_ids))
     remaining: float = field(init=False)
     rate: float = field(init=False, default=0.0)
     done: Optional[Event] = field(init=False, default=None, repr=False)

@@ -14,8 +14,7 @@ they matter to this paper for two reasons:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.infra.job import Job, JobState
@@ -25,16 +24,13 @@ from repro.sim.resources import Resource
 
 __all__ = ["PilotTask", "Pilot", "PilotManager"]
 
-_task_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(eq=False)
 class PilotTask:
     """One unit of work executed inside a pilot (invisible to accounting)."""
 
     cores: int
     runtime: float
-    task_id: int = field(default_factory=lambda: next(_task_ids))
     submitted_at: Optional[float] = None
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -92,7 +88,7 @@ class Pilot:
         task.submitted_at = self.sim.now
         self.tasks.append(task)
         if self._active:
-            self.sim.process(self._run_task(task), name=f"pilot-task-{task.task_id}")
+            self.sim.process(self._run_task(task), name="pilot-task")
         return task
 
     # -- lifecycle driven by PilotManager ----------------------------------
@@ -101,9 +97,7 @@ class Pilot:
         self._pool = Resource(self.sim, capacity=self.cores)
         for task in self.tasks:
             if not task.done and task.started_at is None:
-                self.sim.process(
-                    self._run_task(task), name=f"pilot-task-{task.task_id}"
-                )
+                self.sim.process(self._run_task(task), name="pilot-task")
 
     def _deactivate(self) -> None:
         self._active = False
@@ -163,6 +157,7 @@ class PilotManager:
             # The placeholder runs to its walltime regardless of task load;
             # that is what the batch system (and accounting) sees.
             true_runtime=walltime + 1.0,
+            job_id=self.sim.next_id("job"),
             attributes=dict(attributes or {}),
             true_modality=true_modality,
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -16,10 +16,8 @@ from repro.sim.process import Process
 
 __all__ = ["BatchScheduler", "Reservation", "RunningJob"]
 
-_reservation_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(eq=False)
 class Reservation:
     """An advance reservation of ``nodes`` over ``[start, end)``.
 
@@ -33,7 +31,6 @@ class Reservation:
     nodes: int
     access: Optional[Callable[[Job], bool]] = None
     label: str = ""
-    reservation_id: int = field(default_factory=lambda: next(_reservation_ids))
 
     def admits(self, job: Job) -> bool:
         return self.access is not None and self.access(job)
@@ -201,7 +198,7 @@ class BatchScheduler:
 
         self.sim.process(
             edge_watcher(self.sim, reservation),
-            name=f"reservation-{reservation.reservation_id}",
+            name="reservation",
         )
         self._schedule_pass()
         return reservation

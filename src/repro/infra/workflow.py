@@ -11,7 +11,6 @@ system see workflows as workflows rather than as unrelated jobs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,8 +20,6 @@ from repro.infra.network import Network
 from repro.sim import AllOf, Simulator
 
 __all__ = ["TaskGraph", "TaskSpec", "WorkflowEngine", "WorkflowResult"]
-
-_workflow_ids = itertools.count(1)
 
 
 @dataclass
@@ -225,7 +222,7 @@ class WorkflowEngine:
         )
 
     def _execute(self, graph, user, account, true_modality, extra_attributes):
-        workflow_id = next(_workflow_ids)
+        workflow_id = self.sim.next_id("workflow")
         started_at = self.sim.now
         finished: dict[str, Job] = {}
         jobs: list[Job] = []
@@ -245,6 +242,7 @@ class WorkflowEngine:
                 cores=spec.cores,
                 walltime=spec.walltime,
                 true_runtime=spec.true_runtime,
+                job_id=self.sim.next_id("job"),
                 will_fail=spec.will_fail,
                 attributes=attributes,
                 true_modality=true_modality,

@@ -40,10 +40,9 @@ def process_type(name: str) -> str:
     """Collapse a process instance name to its type.
 
     Process names follow ``<type>:<instance>`` (``outage:SiteA``,
-    ``amie-feed:SiteB``) or ``<type>-<serial>`` (``job-523``).  The serial
-    suffix must go: job ids come from a process-global counter, so keying
-    sim-domain aggregates on them would break seed-stability whenever two
-    campaigns run in one process.
+    ``amie-feed:SiteB``) or ``<type>-<serial>`` (``job-523``).  A numeric
+    suffix is an instance serial, so it is collapsed: sim-domain aggregates
+    count per process type.
     """
     return _NUMERIC_SUFFIX.sub("", name.split(":", 1)[0])
 

@@ -12,18 +12,18 @@ A torn or bit-flipped artifact is quarantined on load and treated as a
 miss: the caller falls back to a live simulation, so corruption can slow a
 sweep down but never change its bytes.
 
-Per-process plumbing: workers activate the store once
-(:func:`ensure_active_store`); loads are memoized per process
-(:attr:`ArtifactStore._memo`) so a worker deserializes each artifact at most
-once no matter how many measurement tasks it executes; and the module-level
-:data:`STATS` counters let the runner aggregate dedup/fallback/load-time
-telemetry across processes via worker outcomes.
+Per-process plumbing: the runner scopes the store with
+:func:`activated_store`, and so does a worker for each task;
+:func:`repro.experiments.base.campaign` resolves through the active store.
+Its campaign memo is the only per-process memo, so a process deserializes
+each artifact at most once no matter how many measurement tasks it
+executes.  The module-level :data:`STATS` counters let the runner aggregate
+dedup/fallback/load-time telemetry across processes via worker outcomes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -39,9 +39,6 @@ __all__ = [
     "STATS",
     "active_store",
     "activated_store",
-    "campaign_stage",
-    "ensure_active_store",
-    "in_campaign_stage",
     "record_metrics",
     "stats_snapshot",
     "stats_delta",
@@ -101,25 +98,10 @@ def record_metrics(metrics, delta: dict) -> None:
 # -- active-store plumbing -----------------------------------------------------
 
 _active: Optional["ArtifactStore"] = None
-_stage_depth = 0
 
 
 def active_store() -> Optional["ArtifactStore"]:
     """The store :func:`repro.experiments.base.campaign` resolves through."""
-    return _active
-
-
-def ensure_active_store(root: str | os.PathLike) -> "ArtifactStore":
-    """Activate (or reuse) the process-wide store rooted at ``root``.
-
-    Pool workers call this at task pickup; the store (and its load memo)
-    persists for the life of the worker process, so repeated tasks on one
-    worker deserialize each artifact exactly once.
-    """
-    global _active
-    root = Path(root)
-    if _active is None or _active.root != root:
-        _active = ArtifactStore(root=root)
     return _active
 
 
@@ -138,28 +120,6 @@ def activated_store(store: Optional["ArtifactStore"]):
         _active = previous
 
 
-@contextmanager
-def campaign_stage():
-    """Mark the current execution as stage-1 (an *expected* simulation)."""
-    global _stage_depth
-    _stage_depth += 1
-    try:
-        yield
-    finally:
-        _stage_depth -= 1
-
-
-def in_campaign_stage() -> bool:
-    return _stage_depth > 0
-
-
-def note_simulation() -> None:
-    """Record one live campaign simulation under an active store."""
-    STATS.simulations += 1
-    if not in_campaign_stage():
-        STATS.fallbacks += 1
-
-
 # -- the store itself ----------------------------------------------------------
 
 @dataclass
@@ -167,10 +127,6 @@ class ArtifactStore(StoreNamespace):
     """The ``artifacts`` namespace: one entry per campaign."""
 
     namespace: ClassVar[str] = "artifacts"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._memo: dict[CampaignKey, CampaignArtifact] = {}
 
     @property
     def stats(self) -> ArtifactStats:
@@ -189,38 +145,21 @@ class ArtifactStore(StoreNamespace):
 
     # -- read side -----------------------------------------------------------
     def has(self, key: CampaignKey) -> bool:
-        return key in self._memo or self.path_for(key).exists()
+        return self.path_for(key).exists()
 
     def load(self, key: CampaignKey) -> Optional[CampaignArtifact]:
-        """The stored artifact, or ``None`` on miss (damage = quarantine + miss).
-
-        Loads are memoized per process: the deserialization cost is paid at
-        most once per (worker, campaign) pair.
-        """
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            return memoized
+        """The stored artifact, or ``None`` on miss (damage = quarantine + miss)."""
         started = time.monotonic()
         hit, artifact = self._read(self.path_for(key), CampaignArtifact)
         if not hit:
             return None
         STATS.loads += 1
         STATS.load_seconds += time.monotonic() - started
-        self._memo[key] = artifact
         return artifact
 
     # -- write side ----------------------------------------------------------
     def save(self, key: CampaignKey, artifact: CampaignArtifact) -> None:
-        """Store durably, then memoize.
-
-        An entry the chaos harness corrupted is not memoized: this process
-        must see the same damaged bytes as every other one.
-        """
+        """Store durably."""
         path = self.path_for(key)
         # The path stem is the stable (knobs-hash, seed) identity.
-        if not self._write(path, artifact, chaos_site=f"artifact/{path.stem}"):
-            self._memo[key] = artifact
-
-    def clear(self) -> int:
-        self._memo.clear()
-        return super().clear()
+        self._write(path, artifact, chaos_site=f"artifact/{path.stem}")

@@ -32,6 +32,7 @@ Fault-tolerance contract (the reason this module looks the way it does):
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import deque
@@ -129,8 +130,8 @@ class ParallelRunner:
         telemetry=None,
         trace_sim: bool = False,
     ) -> None:
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
+        if task_timeout is not None and not 0 < task_timeout < math.inf:
+            raise ValueError("task_timeout must be positive and finite")
         self.jobs = resolve_jobs(jobs)
         self.cache: Optional[ResultCache] = (
             cache if cache is not None else (ResultCache() if use_cache else None)

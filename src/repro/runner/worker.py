@@ -80,15 +80,17 @@ def run_task_hardened(spec: WorkerSpec) -> WorkerOutcome:
     started = time.monotonic()
     started_wall = time.time()
     chaos = chaos_from_env()
-    if spec.artifact_dir is not None:
-        # Activate (or reuse) this process's artifact store so campaign()
-        # resolves through it; the store and its deserialization memo
-        # persist for the life of the worker.
-        artifact_mod.ensure_active_store(spec.artifact_dir)
+    # campaign() resolves through the task's store; the campaign memo it
+    # fills persists for the life of the worker.
+    store = (
+        artifact_mod.ArtifactStore(root=spec.artifact_dir)
+        if spec.artifact_dir is not None
+        else None
+    )
     stats_before = artifact_mod.stats_snapshot()
     sim_summary = None
     try:
-        with wall_clock_limit(spec.timeout):
+        with artifact_mod.activated_store(store), wall_clock_limit(spec.timeout):
             if chaos.active:
                 # May os._exit (kill) or sleep (hang) — inside the limit, so
                 # an injected hang surfaces as an ordinary task timeout.

@@ -61,7 +61,8 @@ class Simulator:
 
     Events scheduled for the same time fire in (priority, FIFO) order, which
     makes every run fully reproducible for a fixed seed.  Time is a float in
-    arbitrary units; the TeraGrid substrate uses seconds.
+    arbitrary units; the TeraGrid substrate uses seconds.  The simulator also
+    mints the ids of what runs in it (:meth:`next_id`).
     """
 
     def __init__(self, start_time: float = 0.0, tracer=None) -> None:
@@ -70,6 +71,7 @@ class Simulator:
         self._eid = count()
         self._active_process: Optional[Process] = None
         self._tracer = tracer if tracer is not None else _default_tracer
+        self._ids: dict[str, int] = {}
 
     # -- introspection -------------------------------------------------------
     @property
@@ -95,6 +97,16 @@ class Simulator:
 
     def __len__(self) -> int:
         return len(self._heap)
+
+    def next_id(self, kind: str) -> int:
+        """The next serial of ``kind`` (``"job"``, ``"workflow"``, ...), from 1.
+
+        Ids are per simulation, so a campaign's ids depend only on the
+        campaign, never on what the process simulated before it.
+        """
+        serial = self._ids.get(kind, 0) + 1
+        self._ids[kind] = serial
+        return serial
 
     # -- event factories ------------------------------------------------------
     def event(self) -> Event:

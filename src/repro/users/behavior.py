@@ -8,7 +8,6 @@ users or modalities never perturbs existing ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -36,8 +35,6 @@ __all__ = [
     "sample_job",
     "start_behaviors",
 ]
-
-_ensemble_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -157,6 +154,7 @@ def sample_job(
     rng: np.random.Generator,
     profile: BehaviorProfile,
     user: User,
+    job_id: int,
     max_cores_cap: Optional[int] = None,
     attributes: Optional[dict] = None,
     priority: float = 0.0,
@@ -194,6 +192,7 @@ def sample_job(
         cores=cores,
         walltime=max(walltime, 60.0),
         true_runtime=runtime,
+        job_id=job_id,
         will_fail=will_fail,
         priority=priority,
         attributes=dict(attributes or {}),
@@ -259,7 +258,9 @@ def _recovery_rng(ctx: SimulationContext, user: User):
     return ctx.streams.stream(f"recovery:{user.user_id}")
 
 
-def _clone_for_resubmit(job: Job, remaining: float, overhead: float) -> Job:
+def _clone_for_resubmit(
+    job: Job, job_id: int, remaining: float, overhead: float
+) -> Job:
     """The job a user resubmits after an infrastructure loss.
 
     ``remaining`` is the work still to do (checkpoint-adjusted); the restart
@@ -273,6 +274,7 @@ def _clone_for_resubmit(job: Job, remaining: float, overhead: float) -> Job:
         cores=job.cores,
         walltime=max(job.walltime, runtime * 1.1),
         true_runtime=runtime,
+        job_id=job_id,
         will_fail=False,
         attributes=dict(job.attributes),
         true_modality=job.true_modality,
@@ -329,7 +331,7 @@ def _recover_job(
         ctx.count(ctx.resubmissions, modality)
         yield ctx.sim.timeout(policy.backoff(attempts))
         current = _clone_for_resubmit(
-            current, remaining, policy.restart_overhead
+            current, ctx.sim.next_id("job"), remaining, policy.restart_overhead
         )
 
 
@@ -436,6 +438,7 @@ def batch_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
                     rng,
                     porting_profile,
                     user,
+                    ctx.sim.next_id("job"),
                     max_cores_cap=site.cluster.total_cores,
                 )
                 yield _submit_and_wait(
@@ -448,7 +451,8 @@ def batch_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
         waits = []
         for _ in range(n_jobs):
             job = sample_job(
-                rng, profile, user, max_cores_cap=site.cluster.total_cores
+                rng, profile, user, ctx.sim.next_id("job"),
+                max_cores_cap=site.cluster.total_cores,
             )
             waits.append(
                 _submit_and_wait(ctx, rng, user, site, job, profile.modality)
@@ -465,7 +469,8 @@ def exploratory_user(ctx: SimulationContext, user: User, profile: BehaviorProfil
         lo, hi = profile.jobs_per_session
         for _ in range(int(rng.integers(lo, hi + 1))):
             job = sample_job(
-                rng, profile, user, max_cores_cap=site.cluster.total_cores
+                rng, profile, user, ctx.sim.next_id("job"),
+                max_cores_cap=site.cluster.total_cores,
             )
             yield _submit_and_wait(ctx, rng, user, site, job, profile.modality)
             # look at the output, tweak, resubmit
@@ -488,7 +493,8 @@ def gateway_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
         policy = ctx.recovery_policy(profile.modality)
         for _ in range(int(rng.integers(lo, hi + 1))):
             spec = sample_job(
-                rng, profile, user, max_cores_cap=site.cluster.total_cores
+                rng, profile, user, ctx.sim.next_id("job"),
+                max_cores_cap=site.cluster.total_cores,
             )
             if policy is not None:
                 waits.append(
@@ -520,7 +526,7 @@ def ensemble_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
     while True:
         yield _think(ctx, rng, profile.think_time_mean)
         width = int(rng.integers(profile.sweep_width[0], profile.sweep_width[1] + 1))
-        template = sample_job(rng, profile, user)
+        template = sample_job(rng, profile, user, ctx.sim.next_id("job"))
         if rng.random() < profile.workflow_prob:
             graph = TaskGraph.parameter_sweep(
                 f"{user.user_id}-sweep",
@@ -539,13 +545,14 @@ def ensemble_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
             yield proc
         else:
             site = _session_site(ctx, rng, user)
-            ensemble_id = f"ens-{next(_ensemble_ids)}"
+            ensemble_id = f"ens-{ctx.sim.next_id('ensemble')}"
             waits = []
             for _ in range(width):
                 job = sample_job(
                     rng,
                     profile,
                     user,
+                    ctx.sim.next_id("job"),
                     max_cores_cap=site.cluster.total_cores,
                     attributes={AttributeKeys.ENSEMBLE_ID: ensemble_id},
                 )
@@ -571,6 +578,7 @@ def viz_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
             rng,
             profile,
             user,
+            ctx.sim.next_id("job"),
             max_cores_cap=site.cluster.total_cores,
             attributes={AttributeKeys.INTERACTIVE: True},
             priority=100.0,  # interactive queues boost priority
@@ -617,7 +625,7 @@ def coupled_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
         stages = [s for s in stages if s is not None]
         if stages:
             yield AllOf(ctx.sim, stages)
-        template = sample_job(rng, profile, user)
+        template = sample_job(rng, profile, user, ctx.sim.next_id("job"))
         policy = ctx.recovery_policy(profile.modality)
         if policy is None:
             parts = [

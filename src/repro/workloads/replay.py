@@ -32,7 +32,8 @@ def arrivals_from_records(
 
     ``max_cores`` clips jobs to a smaller replay machine (a standard trick
     when replaying a big machine's trace on a scaled-down model); jobs are
-    clipped, not dropped, to preserve the arrival process.
+    clipped, not dropped, to preserve the arrival process.  Each job keeps
+    its record's ``job_id``.
     """
     arrivals: list[tuple[float, Job]] = []
     for record in sorted(records, key=lambda r: (r.submit_time, r.job_id)):
@@ -50,6 +51,7 @@ def arrivals_from_records(
                     cores=cores,
                     walltime=walltime,
                     true_runtime=runtime,
+                    job_id=record.job_id,
                     will_fail=record.final_state is JobState.FAILED,
                     attributes=dict(record.attributes),
                 ),

@@ -1,5 +1,7 @@
 """Tests for usage records, the central DB and the AMIE feed."""
 
+import itertools
+
 import pytest
 
 from repro.infra.accounting import AmieFeed, CentralAccountingDB, UsageRecord
@@ -8,9 +10,13 @@ from repro.infra.units import HOUR
 from repro.sim import Simulator
 
 
+_ids = itertools.count(1)
+
+
 def terminal_job(**kwargs):
     defaults = dict(
-        user="alice", account="acct", cores=4, walltime=3600.0, true_runtime=1800.0
+        user="alice", account="acct", cores=4, walltime=3600.0,
+        true_runtime=1800.0, job_id=next(_ids),
     )
     defaults.update(kwargs)
     job = Job(**defaults)

@@ -52,6 +52,7 @@ def test_head_never_starts_after_its_first_shadow(specs, sticky):
             cores=cores,
             walltime=float(walltime),
             true_runtime=float(walltime) * fraction,
+            job_id=sim.next_id("job"),
         )
         jobs.append(job)
         sim.process(submit_later(sim, float(offset), job))
@@ -92,6 +93,7 @@ def test_sticky_head_never_starts_before_its_lock(specs):
             walltime=float(walltime),
             # Short true runtimes maximize the early-drain temptation.
             true_runtime=float(walltime) * 0.1,
+            job_id=sim.next_id("job"),
         )
         jobs.append(job)
         scheduler.submit(job)

@@ -9,6 +9,8 @@ raises on duplicate job ids, so a double-emit cannot hide), and ledger
 charges equal the sum of the records.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,9 +37,13 @@ def make_site(nodes=8, cores_per_node=4):
     return sim, site, central, ledger
 
 
+_ids = itertools.count(1)
+
+
 def job(cores=4, walltime=10 * HOUR, runtime=None):
     return Job(user="u", account="acct", cores=cores, walltime=walltime,
-               true_runtime=walltime if runtime is None else runtime)
+               true_runtime=walltime if runtime is None else runtime,
+               job_id=next(_ids))
 
 
 def run_flaky_maintained_site(seed):

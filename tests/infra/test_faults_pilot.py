@@ -20,9 +20,10 @@ def make_site(nodes=8, cores_per_node=4):
     return sim, site, central
 
 
-def job(cores=4, walltime=10 * HOUR, runtime=None):
+def job(sim, cores=4, walltime=10 * HOUR, runtime=None):
     return Job(user="u", account="acct", cores=cores, walltime=walltime,
-               true_runtime=walltime if runtime is None else runtime)
+               true_runtime=walltime if runtime is None else runtime,
+               job_id=sim.next_id("job"))
 
 
 # -------------------------------------------------------------------- faults
@@ -37,7 +38,7 @@ def test_fault_injector_kills_jobs_as_failed():
         node_mtbf=20 * HOUR,  # absurdly flaky machine
         tick=0.1 * HOUR,
     )
-    jobs = [job(cores=4, walltime=24 * HOUR) for _ in range(8)]
+    jobs = [job(sim, cores=4, walltime=24 * HOUR) for _ in range(8)]
     for j in jobs:
         site.submit(j)
     sim.run(until=3 * DAY)
@@ -54,7 +55,7 @@ def test_fault_injector_charges_partial_time():
         sim, site.scheduler, np.random.default_rng(1),
         node_mtbf=5 * HOUR, tick=0.05 * HOUR,
     )
-    victim = job(cores=32, walltime=100 * HOUR)
+    victim = job(sim, cores=32, walltime=100 * HOUR)
     site.submit(victim)
     sim.run(until=200 * HOUR)
     site.feed.drain()
@@ -70,7 +71,7 @@ def test_fault_injector_reliable_machine_harmless():
         sim, site.scheduler, np.random.default_rng(0),
         node_mtbf=1e12 * HOUR,
     )
-    j = job(cores=4, walltime=HOUR, runtime=HOUR / 2)
+    j = job(sim, cores=4, walltime=HOUR, runtime=HOUR / 2)
     site.submit(j)
     sim.run(until=2 * HOUR)
     assert j.state is JobState.COMPLETED
@@ -168,7 +169,7 @@ def test_pilot_task_validation():
 
 def test_pilot_never_starting_loses_all_tasks():
     sim, site, _ = make_site(nodes=1, cores_per_node=1)
-    blocker = job(cores=1, walltime=100 * HOUR)
+    blocker = job(sim, cores=1, walltime=100 * HOUR)
     site.submit(blocker)
     manager = I.PilotManager(sim)
     pilot = manager.launch(
@@ -184,8 +185,8 @@ def test_pilot_never_starting_loses_all_tasks():
 
 def test_wait_for_start_event():
     sim, site, _ = make_site(nodes=1, cores_per_node=1)
-    blocker = job(cores=1, walltime=2 * HOUR, runtime=2 * HOUR)
-    waiter = job(cores=1, walltime=HOUR)
+    blocker = job(sim, cores=1, walltime=2 * HOUR, runtime=2 * HOUR)
+    waiter = job(sim, cores=1, walltime=HOUR)
     site.submit(blocker)
     site.submit(waiter)
     log = []

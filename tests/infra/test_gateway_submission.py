@@ -25,7 +25,7 @@ def make_site():
 def test_login_submitter_stamps_interface():
     sim, site, central = make_site()
     job = Job(user="alice", account="acct", cores=4, walltime=HOUR,
-              true_runtime=HOUR / 2)
+              true_runtime=HOUR / 2, job_id=sim.next_id("job"))
     I.LoginSubmitter().submit(site, job)
     sim.run(until=2 * HOUR)
     assert job.attributes[AttributeKeys.SUBMIT_INTERFACE] == "login"
@@ -36,7 +36,7 @@ def test_gram_submitter_stamps_and_counts():
     submitter = I.GramSubmitter()
     for _ in range(3):
         job = Job(user="alice", account="acct", cores=1, walltime=HOUR,
-                  true_runtime=60.0)
+                  true_runtime=60.0, job_id=sim.next_id("job"))
         submitter.submit(site, job)
     assert submitter.submissions["alice"] == 3
     assert job.attributes[AttributeKeys.SUBMIT_INTERFACE] == "gram"

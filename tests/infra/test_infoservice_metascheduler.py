@@ -1,5 +1,7 @@
 """Tests for the information service and metascheduler."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,9 +29,12 @@ def make_federation(n_sites=3, nodes=4):
     return sim, providers
 
 
+_ids = itertools.count(1)
+
+
 def job(cores=1, walltime=HOUR):
     return Job(user="alice", account="acct", cores=cores, walltime=walltime,
-               true_runtime=walltime)
+               true_runtime=walltime, job_id=next(_ids))
 
 
 def test_info_service_publishes_periodically():

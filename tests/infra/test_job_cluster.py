@@ -4,18 +4,29 @@ import pytest
 
 from repro.infra.cluster import Cluster
 from repro.infra.job import AttributeKeys, Job, JobState
+from repro.sim import Simulator
 
 
 def make_job(**kwargs):
     defaults = dict(
-        user="alice", account="acct", cores=4, walltime=3600.0, true_runtime=1800.0
+        user="alice", account="acct", cores=4, walltime=3600.0,
+        true_runtime=1800.0, job_id=1,
     )
     defaults.update(kwargs)
     return Job(**defaults)
 
 
 def test_job_ids_are_unique():
-    assert make_job().job_id != make_job().job_id
+    """Ids come from the simulator: each kind counts from 1, and two
+    simulators share nothing.  A job without one is a TypeError."""
+    sim, other = Simulator(), Simulator()
+    assert [sim.next_id("job") for _ in range(3)] == [1, 2, 3]
+    assert sim.next_id("workflow") == 1
+    assert other.next_id("job") == 1
+    assert sim.next_id("job") == 4
+    with pytest.raises(TypeError):
+        Job(user="alice", account="acct", cores=4, walltime=3600.0,
+            true_runtime=1800.0)
 
 
 def test_job_validation():

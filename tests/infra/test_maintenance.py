@@ -20,7 +20,7 @@ def test_jobs_do_not_cross_maintenance_window():
     )
     # Submitted 1 day before the window with a 2-day walltime: must wait.
     long_job = Job(user="u", account="a", cores=4, walltime=2 * DAY,
-                   true_runtime=2 * DAY)
+                   true_runtime=2 * DAY, job_id=sim.next_id("job"))
 
     def submit_later(sim):
         yield sim.timeout(1 * DAY)
@@ -40,7 +40,7 @@ def test_short_job_runs_before_window():
         first=2 * DAY, lead=3 * DAY,
     )
     quick = Job(user="u", account="a", cores=4, walltime=HOUR,
-                true_runtime=HOUR)
+                true_runtime=HOUR, job_id=sim.next_id("job"))
 
     def submit_later(sim):
         yield sim.timeout(1 * DAY)

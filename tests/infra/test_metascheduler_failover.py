@@ -7,6 +7,8 @@ submission, outage-time requeueing with bridged wait events, and that the
 whole failover path is deterministic under a fixed seed.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,9 +35,12 @@ def make_federation(n=3, nodes=8):
     return sim, providers, central
 
 
+_ids = itertools.count(1)
+
+
 def job(cores=4, walltime=2 * HOUR):
     return Job(user="u", account="acct", cores=cores, walltime=walltime,
-               true_runtime=walltime / 2)
+               true_runtime=walltime / 2, job_id=next(_ids))
 
 
 def test_select_excludes_down_provider():

@@ -1,5 +1,7 @@
 """Tests for named queues and routing."""
 
+import itertools
+
 import pytest
 
 import repro.infra as I
@@ -14,11 +16,15 @@ def cluster():
     return Cluster("mach", nodes=32, cores_per_node=8)  # 256 cores
 
 
+_ids = itertools.count(1)
+
+
 def job(cores=8, walltime=HOUR, interactive=False, priority=0.0):
     attributes = {AttributeKeys.INTERACTIVE: True} if interactive else {}
     return Job(
         user="u", account="acct", cores=cores, walltime=walltime,
-        true_runtime=walltime, attributes=attributes, priority=priority,
+        true_runtime=walltime, job_id=next(_ids), attributes=attributes,
+        priority=priority,
     )
 
 

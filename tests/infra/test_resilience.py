@@ -29,17 +29,18 @@ def make_site(nodes=8, cores_per_node=4, name="mach"):
     return sim, site, central, ledger
 
 
-def job(cores=4, walltime=10 * HOUR, runtime=None):
+def job(sim, cores=4, walltime=10 * HOUR, runtime=None):
     return Job(user="u", account="acct", cores=cores, walltime=walltime,
-               true_runtime=walltime if runtime is None else runtime)
+               true_runtime=walltime if runtime is None else runtime,
+               job_id=sim.next_id("job"))
 
 
 # -- site state machine ----------------------------------------------------
 
 def test_mark_down_kills_running_preserves_queue():
     sim, site, central, _ = make_site(nodes=2)
-    running = job(cores=8, walltime=10 * HOUR)   # fills the machine
-    queued = job(cores=8, walltime=2 * HOUR)     # must wait behind it
+    running = job(sim, cores=8, walltime=10 * HOUR)   # fills the machine
+    queued = job(sim, cores=8, walltime=2 * HOUR)     # must wait behind it
     site.submit(running)
     site.submit(queued)
     sim.run(until=1 * HOUR)
@@ -50,7 +51,7 @@ def test_mark_down_kills_running_preserves_queue():
         killed = site.mark_down()
         assert killed == 1
         with pytest.raises(I.SiteDownError):
-            site.submit(job())
+            site.submit(job(sim))
         yield sim.timeout(6 * HOUR)
         site.mark_up()
 
@@ -93,7 +94,7 @@ def _run_injected(seed, until=60 * DAY):
     injector = SiteOutageInjector(
         sim, site, np.random.default_rng(seed), policy=policy
     )
-    jobs = [job(cores=4, walltime=12 * HOUR) for _ in range(60)]
+    jobs = [job(sim, cores=4, walltime=12 * HOUR) for _ in range(60)]
 
     def feeder(sim):
         for j in jobs:
@@ -145,7 +146,7 @@ def test_partial_outage_drains_slice_and_blocks_capacity():
     injector = SiteOutageInjector(
         sim, site, np.random.default_rng(0), policy=policy
     )
-    jobs = [job(cores=4, walltime=20 * HOUR) for _ in range(8)]
+    jobs = [job(sim, cores=4, walltime=20 * HOUR) for _ in range(8)]
     for j in jobs:
         site.submit(j)
     sim.run(until=8 * HOUR)

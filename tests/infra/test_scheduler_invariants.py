@@ -42,6 +42,7 @@ def _submit_workload(sim, scheduler, specs, user="u"):
             cores=cores,
             walltime=float(walltime),
             true_runtime=float(walltime) * fraction,
+            job_id=sim.next_id("job"),
         )
         jobs.append(job)
         sim.process(submit_later(sim, float(offset), job))
@@ -172,10 +173,16 @@ def test_ordered_queue_breaks_equal_priority_by_arrival():
     sim = Simulator()
     cluster = Cluster("mach", nodes=1, cores_per_node=1)
     scheduler = FcfsScheduler(sim, cluster)
-    blocker = Job(user="u", account="acct", cores=1, walltime=50.0, true_runtime=50.0)
+    blocker = Job(
+        user="u", account="acct", cores=1, walltime=50.0, true_runtime=50.0,
+        job_id=sim.next_id("job"),
+    )
     scheduler.submit(blocker)  # occupies the machine
     waiting = [
-        Job(user="u", account="acct", cores=1, walltime=10.0, true_runtime=10.0)
+        Job(
+            user="u", account="acct", cores=1, walltime=10.0, true_runtime=10.0,
+            job_id=sim.next_id("job"),
+        )
         for _ in range(5)
     ]
     for job in waiting:

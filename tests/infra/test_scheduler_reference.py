@@ -118,6 +118,7 @@ def _rig(scheduler_class, workload: Workload):
             cores=cores,
             walltime=float(walltime),
             true_runtime=float(walltime) * fraction,
+            job_id=sim.next_id("job"),
             priority=priority,
             not_before=None if hold is None else float(offset + hold),
         )

@@ -1,5 +1,7 @@
 """Tests for the batch scheduling policies."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,9 @@ def make_rig(policy, nodes=4, cores_per_node=1, **kwargs):
     return sim, scheduler
 
 
+_ids = itertools.count(1)
+
+
 def job(cores, walltime, runtime=None, user="u", **kwargs):
     return Job(
         user=user,
@@ -31,6 +36,7 @@ def job(cores, walltime, runtime=None, user="u", **kwargs):
         cores=cores,
         walltime=walltime,
         true_runtime=walltime if runtime is None else runtime,
+        job_id=next(_ids),
         **kwargs,
     )
 

@@ -1,5 +1,7 @@
 """Tests for the resource provider (site) integration."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,9 @@ def make_site(nodes=8, cores_per_node=4, nu=1.0, budget=1e9):
     return sim, site, ledger, central
 
 
+_ids = itertools.count(1)
+
+
 def job(cores=4, walltime=HOUR, runtime=None, user="alice", account="acct"):
     return Job(
         user=user,
@@ -27,6 +32,7 @@ def job(cores=4, walltime=HOUR, runtime=None, user="alice", account="acct"):
         cores=cores,
         walltime=walltime,
         true_runtime=walltime if runtime is None else runtime,
+        job_id=next(_ids),
     )
 
 

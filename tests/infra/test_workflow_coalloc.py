@@ -262,7 +262,8 @@ def test_coalloc_waits_for_busy_site():
     from repro.infra.job import Job
 
     blocker = Job(user="alice", account="acct", cores=4,
-                  walltime=3 * HOUR, true_runtime=3 * HOUR)
+                  walltime=3 * HOUR, true_runtime=3 * HOUR,
+                  job_id=sim.next_id("job"))
     providers[0].submit(blocker)
     coalloc = I.CoAllocator(sim, slack=60.0)
     proc = coalloc.launch(

@@ -36,7 +36,7 @@ def _run(tracer=None):
 def test_process_type_collapses_instance_names():
     assert process_type("outage:SiteA") == "outage"
     assert process_type("plain") == "plain"
-    assert process_type("job-523") == "job"  # global serials are not types
+    assert process_type("job-523") == "job"  # instance serials collapse
     assert process_type("sched-wake") == "sched-wake"
 
 

@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from repro.experiments import base
 from repro.runner import artifacts as artifact_mod
 from repro.runner.artifacts import ArtifactStore, stats_delta, stats_snapshot
 from repro.runner.cache import code_version
@@ -29,9 +30,6 @@ def key():
 
 @pytest.fixture(scope="module")
 def live_result(key):
-    # Job ids come from a process-global counter, so a re-simulation of the
-    # same config is NOT record-identical; fidelity is always measured
-    # against the exact result the artifact was extracted from.
     return run_scenario(key.config())
 
 
@@ -133,14 +131,19 @@ def test_save_makes_key_visible_to_other_store_instances(tmp_path, key, artifact
     assert ArtifactStore(root=tmp_path).has(key)
 
 
-def test_loads_are_memoized_per_store(tmp_path, key, artifact):
-    store = ArtifactStore(root=tmp_path)
-    store.save(key, artifact)
-    reader = ArtifactStore(root=tmp_path)
+def test_campaign_deserializes_a_stored_artifact_once(
+    tmp_path, key, artifact, monkeypatch
+):
+    """campaign()'s memo is the process's only one: two calls under an
+    active store read the disk once and return one object."""
+    ArtifactStore(root=tmp_path).save(key, artifact)
+    monkeypatch.setattr(base, "_campaign_cache", {})
     before = stats_snapshot()
-    first = reader.load(key)
-    second = reader.load(key)
-    assert first is second  # deserialized once, served from the memo after
+    with artifact_mod.activated_store(ArtifactStore(root=tmp_path)):
+        first = base.campaign(**key.asdict())
+        second = base.campaign(**key.asdict())
+    assert first is second
+    assert first == artifact
     assert stats_delta(before).get("loads") == 1
 
 
@@ -204,15 +207,6 @@ def test_store_version_is_code_version(tmp_path):
 
 
 # -- active-store plumbing -----------------------------------------------------
-
-def test_ensure_active_store_reuses_per_root(monkeypatch, tmp_path):
-    monkeypatch.setattr(artifact_mod, "_active", None)
-    first = artifact_mod.ensure_active_store(tmp_path / "a")
-    assert artifact_mod.ensure_active_store(tmp_path / "a") is first
-    second = artifact_mod.ensure_active_store(tmp_path / "b")
-    assert second is not first
-    assert artifact_mod.active_store() is second
-
 
 def test_activated_store_scopes_and_restores(monkeypatch, tmp_path):
     monkeypatch.setattr(artifact_mod, "_active", None)

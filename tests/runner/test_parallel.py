@@ -181,8 +181,9 @@ def px_cleanup():
 
 
 def test_runner_rejects_nonpositive_timeout():
-    with pytest.raises(ValueError, match="task_timeout"):
-        ParallelRunner(jobs=1, task_timeout=0.0)
+    for timeout in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="task_timeout"):
+            ParallelRunner(jobs=1, task_timeout=timeout)
 
 
 def test_register_tasks_rejects_nonpositive_timeout(px_cleanup):

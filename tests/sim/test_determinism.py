@@ -1,9 +1,10 @@
 """Determinism properties of the sim kernel and the parallel runner.
 
 The reproducibility contract this repo leans on everywhere: a fixed master
-seed fully determines the event trace, the accounting record stream and the
-final metrics — across repeated runs in one process, and across serial vs
-process-pool execution of the same experiment.
+seed fully determines the event trace, the accounting record stream (job and
+group ids included: they are per simulation) and the final metrics — across
+repeated runs in one process, and across serial vs process-pool execution of
+the same experiment.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,50 +13,7 @@ from repro.experiments.base import run_via_tasks
 from repro.runner import ParallelRunner
 from repro.sim import RandomStreams, Simulator
 from repro.workloads import run_scenario
-
-
-#: Attribute values minted from process-global counters ("wf-7", ensemble
-#: ids, ...).  Two same-seed runs in one process simulate identical events
-#: but number these groups differently, so the signature renumbers them by
-#: first appearance — the grouping *structure* still must match exactly.
-_GLOBAL_COUNTER_ATTRIBUTES = ("workflow_id", "ensemble_id", "coallocation_id")
-
-
-def _record_signature(result):
-    """The full accounting stream as comparable plain data.
-
-    ``job_id`` is excluded for the same reason the grouping attributes are
-    canonicalized: ids come from process-global counters, not from the
-    simulation.  Everything physical must match.
-    """
-    canonical: dict[str, dict[str, int]] = {
-        key: {} for key in _GLOBAL_COUNTER_ATTRIBUTES
-    }
-    signature = []
-    for record in result.records:
-        attributes = dict(record.attributes)
-        for key in _GLOBAL_COUNTER_ATTRIBUTES:
-            if key in attributes:
-                seen = canonical[key]
-                attributes[key] = seen.setdefault(attributes[key], len(seen))
-        signature.append(
-            (
-                record.user,
-                record.account,
-                record.resource,
-                record.queue_name,
-                record.cores,
-                record.requested_walltime,
-                record.submit_time,
-                record.start_time,
-                record.end_time,
-                record.final_state,
-                record.charged_nu,
-                sorted(attributes.items()),
-                record.field_of_science,
-            )
-        )
-    return signature
+from repro.workloads.synthetic import CampaignArtifact, CampaignKey
 
 
 def _metrics_signature(result):
@@ -99,17 +57,29 @@ def test_seeded_event_trace_is_identical_across_runs(seed, n_procs):
 @settings(max_examples=4, deadline=None)
 @given(st.integers(min_value=0, max_value=1000))
 def test_same_seed_reproduces_scenario_records_and_metrics(seed):
-    """Property: same seed ⇒ byte-identical usage records + final metrics."""
+    """Property: same seed ⇒ identical usage records + final metrics."""
     first = run_scenario(days=1.0, seed=seed)
     second = run_scenario(days=1.0, seed=seed)
-    assert _record_signature(first) == _record_signature(second)
+    assert first.records == second.records
     assert _metrics_signature(first) == _metrics_signature(second)
 
 
 def test_different_seeds_produce_different_activity():
     a = run_scenario(days=1.0, seed=1)
     b = run_scenario(days=1.0, seed=2)
-    assert _record_signature(a) != _record_signature(b)
+    assert a.records != b.records
+
+
+def test_campaign_does_not_depend_on_what_the_process_simulated_before():
+    """B, then a different campaign A, then B again: both Bs are equal."""
+
+    def artifact(seed):
+        key = CampaignKey.make(days=1.0, seed=seed, population_scale=0.2)
+        return CampaignArtifact.from_result(run_scenario(key.config()), key=key)
+
+    first = artifact(seed=4)
+    artifact(seed=3)
+    assert artifact(seed=4) == first
 
 
 # -- serial vs parallel --------------------------------------------------------

@@ -462,17 +462,20 @@ def test_scenario_run_merges_three_cells(tmp_path, capsys):
         ["run", "T1", "--days", "0"],
         ["scenario", "run", "teragrid-baseline", "--days", "0"],
         ["profile", "t2_usage", "--days", "0"],
+        ["run", "T1", "--task-timeout", "nan"],
+        ["run", "T1", "--task-timeout", "inf"],
     ],
 )
-def test_nonpositive_days_is_a_usage_error(argv, capsys):
-    """``--days`` is checked at parse time: exit 2 with a usage message,
-    before any simulation or task attempt."""
+def test_nonpositive_or_nonfinite_number_is_a_usage_error(argv, capsys):
+    """``--days`` and ``--task-timeout`` are checked at parse time: exit 2
+    with a usage message, before any simulation or task attempt."""
+    flag, value = argv[-2:]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err
-    assert "--days: must be a positive number, got 0" in err
+    assert f"{flag}: must be a positive number, got {value}" in err
 
 
 def test_profile_json_writes_benchmark_payload(tmp_path, capsys):

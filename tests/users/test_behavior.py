@@ -26,7 +26,7 @@ def test_sample_job_respects_profile_bounds():
     rng = np.random.default_rng(0)
     profile = DEFAULT_PROFILES[Modality.BATCH]
     for _ in range(100):
-        job = sample_job(rng, profile, _user())
+        job = sample_job(rng, profile, _user(), job_id=1)
         assert profile.min_cores <= job.cores <= profile.max_cores
         assert job.walltime >= 60.0
         assert job.true_runtime > 0
@@ -37,7 +37,7 @@ def test_sample_job_core_cap():
     rng = np.random.default_rng(0)
     profile = DEFAULT_PROFILES[Modality.BATCH]
     for _ in range(50):
-        job = sample_job(rng, profile, _user(), max_cores_cap=16)
+        job = sample_job(rng, profile, _user(), job_id=1, max_cores_cap=16)
         assert job.cores <= 16
 
 
@@ -45,7 +45,8 @@ def test_sample_job_failures_end_early():
     rng = np.random.default_rng(0)
     profile = DEFAULT_PROFILES[Modality.EXPLORATORY]
     failing = [
-        sample_job(rng, profile, _user(Modality.EXPLORATORY)) for _ in range(300)
+        sample_job(rng, profile, _user(Modality.EXPLORATORY), job_id=i)
+        for i in range(1, 301)
     ]
     failed = [j for j in failing if j.will_fail]
     fine = [j for j in failing if not j.will_fail]
