@@ -19,6 +19,13 @@ Two reservation-management styles are supported:
   Moab/Maui-era production schedulers, whose bound-based idle gaps are the
   inefficiency the weekly-drain capability policy (experiment F4) was
   invented to avoid.
+
+The head's profile and earliest start come from the base class's memo
+(``_head_memo``): built once, then reused until the head changes, a job
+starts or finishes, a reservation is added or dropped, or time reaches the
+next walltime-bound release, the next reservation edge or the head's own
+start.  Every other queued job is still tested on every pass; the cheap
+node and shadow tests stop most of them before ``can_start_now``.
 """
 
 from __future__ import annotations
@@ -66,16 +73,16 @@ class EasyBackfillScheduler(BatchScheduler):
     def _shadow(self, head: Job) -> float:
         """The head's reserved start time under the configured style."""
         if not self.sticky_shadow:
-            return self.earliest_start(head)
+            return self._head_memo(head).start
         locked = self._locked_shadow.get(head.job_id)
         if locked is None or locked < self.sim.now - _EPSILON:
             # No (valid) reservation yet: lay one down and keep it.
-            locked = self.earliest_start(head)
+            locked = self._head_memo(head).start
             self._locked_shadow[head.job_id] = locked
         return locked
 
     def _head_wake_time(self, head: Job) -> float:
-        wake = self.earliest_start(head)
+        wake = self._head_memo(head).start
         if self.sticky_shadow:
             locked = self._locked_shadow.get(head.job_id)
             if locked is not None:
@@ -98,18 +105,18 @@ class EasyBackfillScheduler(BatchScheduler):
 
         # Phase 2: head is blocked. Compute (or recall) its shadow
         # reservation and backfill behind it.
-        order = self._ordered_queue()
-        head = order[0]
-        head_nodes = self._nodes[head.job_id]
+        now = self.sim.now
+        memo = self._head_memo(head)
         shadow_start = self._shadow(head)
-        profile = self.build_profile(for_job=head)
-        # Nodes free during the head's reserved window once it starts:
-        free_at_shadow = profile.available_during(shadow_start, head.walltime)
-        extra_nodes = free_at_shadow - head_nodes
+        # Nodes free during the head's reserved window once it starts (a
+        # kept profile begins at its build time: clip as a fresh one would).
+        free_at_shadow = memo.profile.available_during(
+            max(shadow_start, now), head.walltime
+        )
+        extra_nodes = free_at_shadow - self._nodes[head.job_id]
 
         # Cheap tests first: can_start_now is pure, so asking it last (and
         # only for jobs that could not delay the head) changes nothing.
-        now = self.sim.now
         for job in order[1:]:
             if self.free_nodes == 0:
                 return

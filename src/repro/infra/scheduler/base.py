@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.infra.cluster import Cluster
@@ -46,6 +46,20 @@ class RunningJob:
     runner: Process
 
 
+@dataclass(eq=False)
+class _HeadMemo:
+    """The queue head's capacity profile and earliest start, built at ``built``.
+
+    See :meth:`BatchScheduler._head_memo` for when it may be reused.
+    """
+
+    head: Job
+    version: int
+    built: float
+    profile: CapacityProfile
+    start: float
+
+
 class BatchScheduler:
     """Base class: queue/running-set bookkeeping, start/finish mechanics.
 
@@ -67,13 +81,21 @@ class BatchScheduler:
         self.sim = sim
         self.cluster = cluster
         self.on_job_end = on_job_end
+        if max_eligible_per_user is not None and max_eligible_per_user < 1:
+            raise ValueError(
+                f"max_eligible_per_user must be >= 1, got {max_eligible_per_user}"
+            )
         #: per-user scheduling-eligibility cap (Moab MAXIJOB-style): a user's
         #: queued jobs beyond this limit are held invisible to the policy
         #: until earlier ones start. None = unlimited.
         self.max_eligible_per_user = max_eligible_per_user
         #: pending jobs in arrival order (failover replays it in that order)
         self.queue: list[Job] = []
+        #: the same jobs in service order: higher priority first, then arrival
+        self._service: list[Job] = []
         self.running: dict[int, RunningJob] = {}
+        #: (walltime bound, nodes) of every running job, sorted
+        self._releases: list[tuple[float, int]] = []
         self.reservations: list[Reservation] = []
         self.free_nodes = cluster.nodes
         #: while True, policy passes are no-ops (machine down); queued jobs
@@ -88,6 +110,9 @@ class BatchScheduler:
         self._starts: dict[int, object] = {}
         self._next_wake: Optional[float] = None
         self._wake_epoch = 0
+        #: bumped on every start, finish and reservation add
+        self._version = 0
+        self._memo: Optional[_HeadMemo] = None
 
     # -- public interface ---------------------------------------------------
     def submit(self, job: Job) -> Job:
@@ -106,6 +131,7 @@ class BatchScheduler:
         self._starts[job.job_id] = self.sim.event()
         self.queue.append(job)
         self._arrival_order[job.job_id] = next(self._seq)
+        bisect.insort(self._service, job, key=self._service_key)
         self._nodes[job.job_id] = self.cluster.nodes_for(job.cores)
         self._schedule_pass()
         return job
@@ -180,11 +206,21 @@ class BatchScheduler:
 
     def add_reservation(self, reservation: Reservation) -> Reservation:
         """Register an advance reservation and re-run scheduling at its edges."""
+        if not (math.isfinite(reservation.start) and math.isfinite(reservation.end)):
+            raise ValueError(
+                f"reservation window [{reservation.start}, {reservation.end}) "
+                "must be finite"
+            )
         if reservation.end <= reservation.start:
             raise ValueError("reservation end must be after start")
+        if reservation.nodes < 1:
+            raise ValueError(
+                f"reservation needs >= 1 node, got {reservation.nodes}"
+            )
         if reservation.nodes > self.cluster.nodes:
             raise ValueError("reservation exceeds machine size")
         self.reservations.append(reservation)
+        self._version += 1
 
         def edge_watcher(sim, reservation):
             # Wake the scheduler when the window opens and when it closes.
@@ -239,7 +275,7 @@ class BatchScheduler:
 
     def _head_wake_time(self, head: Job) -> float:
         """When a time-blocked head should next be reconsidered."""
-        return self.earliest_start(head)
+        return self._head_memo(head).start
 
     def _arm_head_wakeup(self) -> None:
         order = self._ordered_queue()
@@ -274,11 +310,17 @@ class BatchScheduler:
         ``max_eligible_per_user`` set, each user's jobs beyond the cap are
         dropped from the eligible order (they remain queued).
 
-        The queue is in arrival order and the sort is stable, so ties keep
-        FIFO order without an arrival key.
+        The order is kept as jobs arrive and leave (``submit`` and
+        ``_dequeue`` insert and delete by bisection on :meth:`_service_key`),
+        so no pass sorts the queue.  Without a cap the live list comes back:
+        callers read it and must not change it, and it changes as jobs start.
         """
-        order = sorted(self.queue, key=attrgetter("priority"), reverse=True)
-        return self._apply_user_cap(order)
+        return self._apply_user_cap(self._service)
+
+    def _service_key(self, job: Job) -> tuple[float, int]:
+        """A queued job's place in service order (its priority must not
+        change while it is queued)."""
+        return -job.priority, self._arrival_order[job.job_id]
 
     def _apply_user_cap(self, order: list[Job]) -> list[Job]:
         if self.max_eligible_per_user is None:
@@ -299,14 +341,17 @@ class BatchScheduler:
         """Availability profile as seen by ``for_job``.
 
         Reservations admitting the job do not count as busy for it; all other
-        reservations and (optionally) running jobs do.
+        reservations and (optionally) running jobs do.  A running job holds
+        its nodes until its walltime bound at the latest, and the scheduler
+        plans with that bound: the profile is seeded from the sorted
+        (bound, nodes) releases kept on start and finish, not job by job.
+
+        Building one is the costly step of a pass, so the head's profile is
+        kept between passes (:meth:`_head_memo`); other jobs get a fresh one.
         """
         profile = CapacityProfile(self.cluster.nodes, self.sim.now)
         if include_running:
-            for running in self.running.values():
-                # A running job holds its nodes until its walltime bound at
-                # the latest; the scheduler plans with that bound.
-                profile.add_usage(self.sim.now, running.end_estimate, running.nodes)
+            profile.add_releases(self._releases)
         for reservation in self.reservations:
             if for_job is not None and reservation.admits(for_job):
                 continue
@@ -347,13 +392,41 @@ class BatchScheduler:
         profile = self.build_profile(for_job=job)
         return profile.earliest_start(nodes, job.walltime, not_before=floor)
 
+    def _head_memo(self, head: Job) -> _HeadMemo:
+        """The head's profile and earliest start, built once per state.
+
+        A memo is rebuilt when the head changes, when ``_version`` moves (a
+        job starts or finishes, or a reservation is added), and once time
+        reaches the head's earliest start (a memo built at this instant
+        stays current).  Until then a kept profile and a fresh one agree at
+        every time from ``now`` on: a walltime-bound release or reservation
+        edge passed since the build changed only the past (a reservation is
+        dropped at its end).  So the kept start is still the earliest, and
+        every query from ``now`` on gets a fresh profile's answer.
+        """
+        now = self.sim.now
+        memo = self._memo
+        if (
+            memo is not None
+            and memo.head is head
+            and memo.version == self._version
+            and (now < memo.start or now == memo.built)
+        ):
+            return memo
+        profile = self.build_profile(for_job=head)
+        start = profile.earliest_start(
+            self._nodes[head.job_id], head.walltime, not_before=head.not_before
+        )
+        self._memo = memo = _HeadMemo(head, self._version, now, profile, start)
+        return memo
+
     # -- mechanics ----------------------------------------------------------------
     def _dequeue(self, job: Job) -> None:
         """Take a pending job out of the queue and drop its bookkeeping.
 
-        The queue is in arrival order, so the job is found by bisecting on
-        arrival numbers; ``queue.remove`` would run the dataclass
-        ``Job.__eq__`` against every job ahead of it.
+        The queue is in arrival order and ``_service`` in service order, so
+        the job is found in each by bisection; ``queue.remove`` would run the
+        dataclass ``Job.__eq__`` against every job ahead of it.
         """
         arrival = self._arrival_order
         index = bisect.bisect_left(
@@ -361,6 +434,11 @@ class BatchScheduler:
         )
         assert self.queue[index] is job, "queue left arrival order"
         del self.queue[index]
+        index = bisect.bisect_left(
+            self._service, self._service_key(job), key=self._service_key
+        )
+        assert self._service[index] is job, "queue left service order"
+        del self._service[index]
         del arrival[job.job_id]
         del self._nodes[job.job_id]
 
@@ -380,12 +458,12 @@ class BatchScheduler:
         runner = self.sim.process(
             self._runner(job, nodes), name=f"job-{job.job_id}"
         )
+        end_estimate = self.sim.now + job.walltime
         self.running[job.job_id] = RunningJob(
-            job=job,
-            nodes=nodes,
-            end_estimate=self.sim.now + job.walltime,
-            runner=runner,
+            job=job, nodes=nodes, end_estimate=end_estimate, runner=runner
         )
+        bisect.insort(self._releases, (end_estimate, nodes))
+        self._version += 1
 
     def _runner(self, job: Job, nodes: int):
         try:
@@ -398,7 +476,9 @@ class BatchScheduler:
                 final_state = JobState.FAILED
             else:
                 final_state = JobState.CANCELLED
-        del self.running[job.job_id]
+        release = (self.running.pop(job.job_id).end_estimate, nodes)
+        del self._releases[bisect.bisect_left(self._releases, release)]
+        self._version += 1
         self.free_nodes += nodes
         job.state = final_state
         job.end_time = self.sim.now

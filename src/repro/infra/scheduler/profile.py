@@ -11,7 +11,9 @@ nodes*.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable
+import itertools
+import math
+from typing import Iterable, Sequence
 
 __all__ = ["CapacityProfile"]
 
@@ -45,6 +47,22 @@ class CapacityProfile:
         self._deltas[start] = self._deltas.get(start, 0) + nodes
         self._deltas[end] = self._deltas.get(end, 0) - nodes
         self._cached_steps = None
+
+    def add_releases(self, releases: Sequence[tuple[float, int]]) -> None:
+        """Mark each ``(release, nodes)`` pair busy from now until ``release``.
+
+        ``releases`` is sorted, so the pairs already released are a prefix to
+        skip.  Same deltas as one :meth:`add_usage` from now per pair.
+        """
+        deltas = self._deltas
+        busy = 0
+        first = bisect.bisect_right(releases, (self.now, math.inf))
+        for release, nodes in itertools.islice(releases, first, None):
+            busy += nodes
+            deltas[release] = deltas.get(release, 0) - nodes
+        if busy:
+            deltas[self.now] = deltas.get(self.now, 0) + busy
+            self._cached_steps = None
 
     def _steps(self) -> tuple[list[float], list[int]]:
         """(times, usage) where usage[i] holds on [times[i], times[i+1])."""

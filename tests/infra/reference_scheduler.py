@@ -5,6 +5,9 @@ subclasses put back the direct versions, so differential tests can run
 both side by side and demand identical starts:
 
 * ``can_start_now`` builds a capacity profile for every candidate;
+* ``build_profile`` adds running jobs one ``add_usage`` at a time;
+* the head's profile and earliest start are rebuilt at every use, never
+  kept between passes;
 * the base ``_ordered_queue`` sorts on ``(-priority, arrival number)``;
 * the EASY ``_policy_pass`` asks ``can_start_now`` before the shadow tests
   and walks the whole order;
@@ -27,6 +30,7 @@ from repro.infra.scheduler import (
     FcfsScheduler,
     WeeklyDrainScheduler,
 )
+from repro.infra.scheduler.base import _HeadMemo
 
 __all__ = [
     "ReferenceCapacityProfile",
@@ -61,7 +65,8 @@ class ReferenceCapacityProfile(CapacityProfile):
 
 
 class _ReferenceCapacity:
-    """A profile per ``can_start_now`` call; FIFO ties by arrival number."""
+    """A profile per ``can_start_now`` call and per use of the head's
+    profile; FIFO ties by arrival number."""
 
     def build_profile(
         self, for_job: Optional[Job] = None, include_running: bool = True
@@ -75,6 +80,14 @@ class _ReferenceCapacity:
                 continue
             profile.add_usage(reservation.start, reservation.end, reservation.nodes)
         return profile
+
+    def _head_memo(self, head: Job) -> _HeadMemo:
+        # Never reused, and built without the production body: a fresh
+        # profile and the base ``earliest_start`` at every use.
+        profile = self.build_profile(for_job=head)
+        start = self.earliest_start(head)
+        now = self.sim.now
+        return _HeadMemo(head, self._version, now, profile, start)
 
     def can_start_now(self, job: Job) -> bool:
         if job.not_before is not None and self.sim.now < job.not_before - 1e-9:

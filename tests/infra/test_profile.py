@@ -123,3 +123,36 @@ def test_earliest_start_is_minimal_on_integer_grid(usages, nodes, duration):
     best = profile.earliest_start(nodes, float(duration))
     for candidate in range(int(best)):
         assert profile.available_during(float(candidate), float(duration)) < nodes
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=30),  # release
+            st.integers(min_value=1, max_value=4),  # nodes
+        ),
+        max_size=12,
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=30),  # start
+            st.integers(min_value=1, max_value=10),  # length
+            st.integers(min_value=1, max_value=4),  # nodes
+        ),
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=20),  # now
+)
+def test_add_releases_equals_one_add_usage_per_release(releases, usages, now):
+    """Seeding from sorted releases gives the same steps as one add_usage
+    from now per running job, releases at or before now included, with
+    reservations on top."""
+    seeded, direct = CapacityProfile(8, now=now), CapacityProfile(8, now=now)
+    seeded.add_releases(sorted((float(t), n) for t, n in releases))
+    for release, used in releases:
+        direct.add_usage(float(now), float(release), used)
+    for profile in (seeded, direct):
+        for start, length, used in usages:
+            profile.add_usage(float(start), float(start + length), used)
+    assert seeded._deltas == direct._deltas
+    assert seeded._steps() == direct._steps()

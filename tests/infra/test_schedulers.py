@@ -138,12 +138,14 @@ def test_queue_bookkeeping_is_dropped_on_every_exit(policy):
     sched.cancel(cancelled)
     sched.withdraw(withdrawn)
     assert sched.queue == queued
+    assert sched._service == [queued[1], queued[0], queued[2]]
     assert len(sched._arrival_order) == len(sched._nodes) == len(queued)
     sim.run()
     assert cancelled.state is JobState.CANCELLED
     assert withdrawn.state is JobState.CREATED
     assert all(j.state is JobState.COMPLETED for j in [blocker, *queued])
     assert (sched.queue, sched._arrival_order, sched._nodes) == ([], {}, {})
+    assert (sched._service, sched._releases) == ([], [])
 
 
 def test_on_job_end_called_once_per_terminal_job():
@@ -299,6 +301,39 @@ def test_reservation_validation():
         sched.add_reservation(Reservation(start=10.0, end=10.0, nodes=1))
     with pytest.raises(ValueError):
         sched.add_reservation(Reservation(start=0.0, end=10.0, nodes=3))
+
+
+@pytest.mark.parametrize(
+    "start, end, nodes, complaint",
+    [
+        (0.0, 10.0, -2, "node"),
+        (0.0, 10.0, 0, "node"),
+        (0.0, float("nan"), 1, "finite"),
+        (float("nan"), 10.0, 1, "finite"),
+        (0.0, float("inf"), 1, "finite"),
+        (float("-inf"), 10.0, 1, "finite"),
+    ],
+)
+def test_bad_reservation_is_rejected_at_the_call(start, end, nodes, complaint):
+    """A bad reservation fails in add_reservation, not in a later pass."""
+    sim, sched = make_rig(EasyBackfillScheduler, nodes=2)
+    with pytest.raises(ValueError, match=complaint):
+        sched.add_reservation(Reservation(start=start, end=end, nodes=nodes))
+    assert sched.reservations == []
+    sched.submit(job(1, walltime=5.0))
+    sim.run()
+    assert sim.now == 5.0
+
+
+@pytest.mark.parametrize("policy", [FcfsScheduler, EasyBackfillScheduler])
+@pytest.mark.parametrize("cap", [0, -1])
+def test_max_eligible_per_user_below_one_is_rejected(policy, cap):
+    """A cap under one would hide every job: FCFS would raise IndexError on
+    the first submit and EASY would leave every job pending forever."""
+    sim = Simulator()
+    with pytest.raises(ValueError, match="max_eligible_per_user"):
+        policy(sim, Cluster("mach", nodes=2, cores_per_node=1),
+               max_eligible_per_user=cap)
 
 
 # ---------------------------------------------------------------- fairshare
