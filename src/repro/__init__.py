@@ -19,7 +19,8 @@ Subpackages
 ``repro.workloads``
     Federation presets, the end-to-end scenario runner and SWF trace I/O.
 ``repro.experiments``
-    One registered runner per table/figure (T1–T5, F1–F7).
+    One registered runner per table/figure (T1–T8, F1–F9) and per
+    ablation (A1–A5, R1).
 
 Quick start::
 

@@ -232,7 +232,9 @@ def run_via_tasks(experiment_id: str, **knobs) -> ExperimentOutput:
 #: The process's one campaign memo, keyed by canonical :class:`CampaignKey`.
 #: Holds live :class:`ScenarioResult` objects (no artifact store) or
 #: :class:`CampaignArtifact` snapshots (store active) — the two expose the
-#: same measurement surface.
+#: same measurement surface, including the classifications each computes
+#: once (:class:`~repro.workloads.synthetic.CampaignMeasurements`); clearing
+#: the memo drops them too.
 _campaign_cache: dict[CampaignKey, ScenarioResult | CampaignArtifact] = {}
 
 #: :func:`campaign`'s knob names, in :meth:`CampaignKey.make` order.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AttributeClassifier, compute_metrics
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import ascii_table, series_block
 from repro.experiments.base import (
@@ -28,9 +27,7 @@ _SIZES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 @register("F2")
 def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
     result = campaign(days=days, seed=seed, **campaign_knobs)
-    records = result.records
-    classification = AttributeClassifier().classify(records)
-    metrics = compute_metrics(records, classification)
+    metrics = result.modality_metrics
 
     ccdf: dict[str, list[tuple[float, float]]] = {}
     percentiles = {}

@@ -7,7 +7,6 @@ uninstrumented column collapses GATEWAY to the number of community accounts.
 
 from __future__ import annotations
 
-from repro.core import AttributeClassifier, HeuristicClassifier
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import modality_table
 from repro.experiments.base import (
@@ -31,12 +30,8 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
     for modality in truth.values():
         true_counts[modality] += 1
 
-    instrumented = AttributeClassifier().classify(records).users_by_modality()
-    uninstrumented = (
-        HeuristicClassifier(known_community_accounts=result.community_accounts)
-        .classify(records)
-        .users_by_modality()
-    )
+    instrumented = result.classification.users_by_modality()
+    uninstrumented = result.heuristic_classification.users_by_modality()
 
     text = modality_table(
         {

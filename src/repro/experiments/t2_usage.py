@@ -7,7 +7,6 @@ job-heavy modalities relative to its NU share.
 
 from __future__ import annotations
 
-from repro.core import AttributeClassifier, compute_metrics
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import modality_table
 from repro.experiments.base import (
@@ -24,9 +23,7 @@ __all__ = ["run"]
 @register("T2")
 def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
     result = campaign(days=days, seed=seed, **campaign_knobs)
-    records = result.records
-    classification = AttributeClassifier().classify(records)
-    metrics = compute_metrics(records, classification)
+    metrics = result.modality_metrics
 
     nu_share = {m: f"{100 * metrics.nu_share(m):.1f}%" for m in MODALITY_ORDER}
     jobs_per_user = {

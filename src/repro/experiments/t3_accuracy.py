@@ -8,11 +8,7 @@ accounts), which the paired user-count-error columns make explicit.
 
 from __future__ import annotations
 
-from repro.core import (
-    AttributeClassifier,
-    HeuristicClassifier,
-    score_classification,
-)
+from repro.core import score_classification
 from repro.core.evaluation import user_count_errors
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import modality_table
@@ -30,13 +26,10 @@ __all__ = ["run"]
 @register("T3")
 def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
     result = campaign(days=days, seed=seed, **campaign_knobs)
-    records = result.records
     truth_jobs = result.truth_by_job()
 
-    instrumented_cls = AttributeClassifier().classify(records)
-    heuristic_cls = HeuristicClassifier(
-        known_community_accounts=result.community_accounts
-    ).classify(records)
+    instrumented_cls = result.classification
+    heuristic_cls = result.heuristic_classification
     instrumented = score_classification(instrumented_cls, truth_jobs)
     heuristic = score_classification(heuristic_cls, truth_jobs)
 

@@ -7,7 +7,6 @@ terms; the largest machines host the coupled runs.
 
 from __future__ import annotations
 
-from repro.core import AttributeClassifier, compute_metrics
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import ascii_table
 from repro.experiments.base import (
@@ -24,9 +23,7 @@ __all__ = ["run"]
 @register("T4")
 def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
     result = campaign(days=days, seed=seed, **campaign_knobs)
-    records = result.records
-    classification = AttributeClassifier().classify(records)
-    metrics = compute_metrics(records, classification)
+    metrics = result.modality_metrics
 
     sites = sorted(metrics.by_site_nu)
     headers = ["site", "total NUs", *[m.value for m in MODALITY_ORDER]]

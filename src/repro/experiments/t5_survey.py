@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AttributeClassifier, SurveyInstrument
+from repro.core import SurveyInstrument
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import modality_table
 from repro.experiments.base import (
@@ -36,7 +36,7 @@ def run(
         true_counts[modality] += 1
     true_shares = {m: true_counts[m] / n_active for m in MODALITY_ORDER}
 
-    measured = AttributeClassifier().classify(result.records).users_by_modality()
+    measured = result.classification.users_by_modality()
     n_measured = sum(measured.values())
     measured_shares = {
         m: (measured[m] / n_measured if n_measured else 0.0)

@@ -9,7 +9,6 @@ batch-heavy fields rather than the user-heavy ones.
 
 from __future__ import annotations
 
-from repro.core import AttributeClassifier
 from repro.core.modalities import Modality
 from repro.core.report import ascii_table
 from repro.experiments.base import (
@@ -27,7 +26,7 @@ __all__ = ["run"]
 def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
     result = campaign(days=days, seed=seed, **campaign_knobs)
     records = result.records
-    classification = AttributeClassifier().classify(records)
+    classification = result.classification
 
     by_field: dict[str, dict] = {}
     for record in records:

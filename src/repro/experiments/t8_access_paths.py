@@ -14,7 +14,6 @@ itself a measurable fact about middleware-mediated usage.
 
 from __future__ import annotations
 
-from repro.core import AttributeClassifier
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import ascii_table
 from repro.experiments.base import (
@@ -35,7 +34,7 @@ _PATHS = ("login", "gram", "gateway", "engine/other")
 def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
     result = campaign(days=days, seed=seed, **campaign_knobs)
     records = result.records
-    classification = AttributeClassifier().classify(records)
+    classification = result.classification
 
     counts: dict[str, dict[str, int]] = {
         m.value: {p: 0 for p in _PATHS} for m in MODALITY_ORDER

@@ -21,11 +21,13 @@ Two reservation-management styles are supported:
   invented to avoid.
 
 The head's profile and earliest start come from the base class's memo
-(``_head_memo``): built once, then reused until the head changes, a job
-starts or finishes, a reservation is added or dropped, or time reaches the
-next walltime-bound release, the next reservation edge or the head's own
-start.  Every other queued job is still tested on every pass; the cheap
-node and shadow tests stop most of them before ``can_start_now``.
+(``BatchScheduler._head_memo``): built once, then reused until the head
+changes, a job starts or finishes, a reservation is added, or time reaches
+the head's own start.  Dropping a reservation at its end, a walltime-bound
+release or a reservation edge passing does not rebuild it: each changes
+only the past, so the kept profile still answers every query from now on.
+Every other queued job is still tested on every pass; the cheap node and
+shadow tests stop most of them before ``can_start_now``.
 """
 
 from __future__ import annotations

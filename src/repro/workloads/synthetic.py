@@ -17,14 +17,24 @@ Two campaign-sharing companions live here as well:
   transfers) without the live :class:`~repro.sim.Simulator` object graph,
   so one worker's simulation can be serialized once and fanned out to the
   rest of a sweep.
+
+Both share :class:`CampaignMeasurements`: the campaign's classifications
+and modality metrics, computed on first read and kept with the object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Type
 
 import repro.infra as infra
+from repro.core.classifier import (
+    AttributeClassifier,
+    Classification,
+    HeuristicClassifier,
+)
+from repro.core.metrics import ModalityMetrics, compute_metrics
 from repro.core.modalities import Modality
 from repro.infra.accounting import CentralAccountingDB, UsageRecord
 from repro.infra.amie import (
@@ -57,6 +67,7 @@ __all__ = [
     "CAMPAIGN_SEED",
     "CampaignArtifact",
     "CampaignKey",
+    "CampaignMeasurements",
     "ScenarioConfig",
     "ScenarioResult",
     "TransferSummary",
@@ -163,8 +174,50 @@ class ScenarioConfig:
         return self.packet_faults is not None and self.packet_faults.enabled
 
 
+class CampaignMeasurements:
+    """A campaign's modality measurements, computed once per object.
+
+    Subclasses provide ``records`` and ``community_accounts``.  Every table
+    that reads the default classification or its metrics reads these
+    attributes instead of classifying again, so a memoized campaign is
+    classified once per process.  Each is computed on first read and kept
+    on the instance until the instance goes (dropping a campaign from the
+    memo drops its measurements).  Pickling leaves them out: a stored
+    artifact holds the same bytes whether or not they were read.  Readers
+    share one result and must not mutate it.
+    """
+
+    _MEASUREMENTS = (
+        "classification", "heuristic_classification", "modality_metrics",
+    )
+
+    @cached_property
+    def classification(self) -> Classification:
+        """The default :class:`AttributeClassifier`'s classification."""
+        return AttributeClassifier().classify(self.records)
+
+    @cached_property
+    def heuristic_classification(self) -> Classification:
+        """The pre-instrumentation one, knowing the community accounts."""
+        return HeuristicClassifier(
+            known_community_accounts=self.community_accounts
+        ).classify(self.records)
+
+    @cached_property
+    def modality_metrics(self) -> ModalityMetrics:
+        """:func:`compute_metrics` over :attr:`classification`."""
+        return compute_metrics(self.records, self.classification)
+
+    def __getstate__(self) -> dict:
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in self._MEASUREMENTS
+        }
+
+
 @dataclass
-class ScenarioResult:
+class ScenarioResult(CampaignMeasurements):
     """Everything a measurement experiment needs from one run."""
 
     config: ScenarioConfig
@@ -487,17 +540,20 @@ class _NetworkView:
 
 
 @dataclass
-class CampaignArtifact:
+class CampaignArtifact(CampaignMeasurements):
     """A measurement-sufficient snapshot of one campaign's results.
 
     Duck-types the slice of :class:`ScenarioResult` the campaign-reading
     experiments consume — ``records``, the truth maps, ``community_accounts``,
-    ``central.total_nu()`` and ``network.completed_transfers`` — while
-    containing only plain picklable data (no simulator, no providers, no
-    event queues).  :meth:`from_result` extracts one from a live result; the
-    round-trip fidelity contract (every measurement taken from the artifact
-    equals the one taken live) is enforced by the test suite, because the
-    byte-identity of store-enabled sweeps rests on it.
+    ``central.total_nu()``, ``network.completed_transfers`` and the
+    :class:`CampaignMeasurements` — while containing only plain picklable
+    data (no simulator, no providers, no event queues).  The measurements
+    are not part of the stored snapshot: they are left out of the pickle
+    and computed again on first read after a load.  :meth:`from_result`
+    extracts one from a live result; the round-trip fidelity contract
+    (every measurement taken from the artifact equals the one taken live)
+    is enforced by the test suite, because the byte-identity of
+    store-enabled sweeps rests on it.
     """
 
     key: Optional[CampaignKey]

@@ -100,6 +100,13 @@ def test_artifact_mirrors_every_live_measurement(key, artifact, live_result):
         assert summary.tag == live.tag
         assert summary.duration == live.duration
     assert artifact.config == result.config
+    # The memoized measurements the tables read instead of classifying.
+    for name in ("classification", "heuristic_classification"):
+        mine, live = getattr(artifact, name), getattr(result, name)
+        assert mine.job_labels == live.job_labels
+        assert list(mine.identity_primary) == list(live.identity_primary)
+        assert mine.identity_primary == live.identity_primary
+    assert artifact.modality_metrics == result.modality_metrics
 
 
 def test_stored_then_loaded_artifact_is_equal(tmp_path, key, artifact):
@@ -145,6 +152,31 @@ def test_campaign_deserializes_a_stored_artifact_once(
     assert first is second
     assert first == artifact
     assert stats_delta(before).get("loads") == 1
+
+
+def test_reading_the_measurements_leaves_the_stored_bytes_alone(
+    tmp_path, key, live_result
+):
+    fresh = CampaignArtifact.from_result(live_result, key=key)
+    unread = ArtifactStore(root=tmp_path / "unread")
+    unread.save(key, fresh)
+    assert fresh.modality_metrics.total_jobs == len(fresh.records)
+    assert fresh.heuristic_classification.n_identities > 0
+    read = ArtifactStore(root=tmp_path / "read")
+    read.save(key, fresh)
+    assert read.path_for(key).read_bytes() == unread.path_for(key).read_bytes()
+
+
+def test_a_loaded_artifact_measures_only_when_read(tmp_path, key, artifact):
+    measurements = set(CampaignArtifact._MEASUREMENTS)
+    expected = artifact.modality_metrics  # read before the save
+    ArtifactStore(root=tmp_path).save(key, artifact)
+    loaded = ArtifactStore(root=tmp_path).load(key)
+    assert not measurements & set(vars(loaded))
+    assert loaded.modality_metrics == expected
+    assert measurements & set(vars(loaded)) == {
+        "classification", "modality_metrics",
+    }
 
 
 def test_corrupted_artifact_is_quarantined_and_a_miss(tmp_path, key, artifact):
