@@ -4,7 +4,7 @@ from repro.core.modalities import Modality
 
 
 def test_f1_growth(regenerate):
-    output = regenerate("F1", days=182.0, ramp_days=120.0)
+    output = regenerate("F1", days=182.0, gateway_adoption_ramp_days=120.0)
     gateway = output.data[Modality.GATEWAY.value]
     batch = output.data[Modality.BATCH.value]
     assert len(gateway) >= 2

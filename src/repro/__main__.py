@@ -52,6 +52,23 @@ def _positive_number(text: str) -> float:
     return value
 
 
+def _int_at_least(minimum: int):
+    """argparse type for ``--top``/``--span-cap``: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+
+    return parse
+
+
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: REPRO_JOBS or CPU count)")
@@ -291,8 +308,8 @@ def main(argv: list[str] | None = None) -> int:
                                   "failure — replays from it (default: 0)")
     fuzz_parser.add_argument("--max-days", type=float, default=6.0,
                              metavar="D",
-                             help="longest simulated horizon per scenario "
-                                  "(default: 6)")
+                             help="longest simulated horizon per scenario, "
+                                  "at least 2 (default: 6)")
 
     scenario_parser = sub.add_parser(
         "scenario",
@@ -342,12 +359,13 @@ def main(argv: list[str] | None = None) -> int:
                                 help="override the simulated horizon")
     profile_parser.add_argument("--seed", type=int, default=None,
                                 help="override the master seed")
-    profile_parser.add_argument("--top", type=int, default=10, metavar="N",
+    profile_parser.add_argument("--top", type=_int_at_least(1), default=10,
+                                metavar="N",
                                 help="rows per ranking table (default: 10)")
     profile_parser.add_argument("--chrome", default=None, metavar="FILE",
                                 help="also write Chrome trace-event JSON "
                                      "(open in chrome://tracing or Perfetto)")
-    profile_parser.add_argument("--span-cap", type=int, default=None,
+    profile_parser.add_argument("--span-cap", type=_int_at_least(0), default=None,
                                 metavar="N",
                                 help="per-process span retention cap; "
                                      "aggregates are never capped")

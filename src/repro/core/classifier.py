@@ -55,8 +55,6 @@ class ClassifierConfig:
     #: submission-burst detection (ensemble signature)
     burst_window: float = 30 * MINUTE
     burst_min_size: int = 5
-    #: identity counts as ensemble-modality if this fraction of jobs burst
-    ensemble_min_burst_fraction: float = 0.5
     #: heuristic coupled detection: multi-resource starts within epsilon
     coupled_start_epsilon: float = 2 * MINUTE
 

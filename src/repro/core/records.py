@@ -9,7 +9,7 @@ extraction* (the behavioural statistics heuristics operate on).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -164,26 +164,23 @@ def _burst_fraction(
 
 @dataclass
 class IdentityView:
-    """All records of one resolved identity, plus their features."""
+    """All records of one resolved identity, in submission order."""
 
     identity: str
     records: list[UsageRecord] = field(default_factory=list)
-    features: Optional[RecordFeatures] = None
-
-    def finalize(self) -> "IdentityView":
-        self.features = RecordFeatures.from_records(self.records)
-        return self
 
 
 def build_identity_views(
     records: Iterable[UsageRecord], use_attributes: bool = True
 ) -> dict[str, IdentityView]:
-    """Group records by resolved identity and compute features."""
+    """Group records by resolved identity, each group in submission order.
+
+    Identities appear in the order of their first record.
+    """
     views: dict[str, IdentityView] = {}
     for record in records:
         identity = resolve_identity(record, use_attributes=use_attributes)
         views.setdefault(identity, IdentityView(identity)).records.append(record)
     for view in views.values():
         view.records.sort(key=lambda r: (r.submit_time, r.job_id))
-        view.finalize()
     return views

@@ -1,4 +1,4 @@
-"""Experiment plumbing: output container, registry, task plans, campaign cache.
+"""Experiment plumbing: output container, registry, task plans, campaign readers.
 
 Two execution protocols coexist:
 
@@ -16,18 +16,38 @@ Two execution protocols coexist:
 Experiments without a declared plan get a synthesized single-task plan that
 wraps their ``run`` function, so the runner can treat every experiment
 uniformly (coarse-grained parallelism across experiments at worst).
+
+Adding a campaign reader — an experiment that measures a shared campaign
+instead of simulating its own rig — takes one decorator.  Write the body
+as a function of the campaign's :class:`CampaignArtifact` (plus any knob
+that is not a :class:`CampaignKey` field) and wrap it with
+:func:`reads_campaign`::
+
+    @register("T9")
+    @reads_campaign("T9")
+    def run(result: CampaignArtifact) -> ExperimentOutput:
+        days = result.key.days  # the campaign's knobs live on its key
+        ...
+
+The wrapped function takes the reader's knobs as keywords.
+:func:`reader_campaign` maps them to the :class:`CampaignKey` the body
+reads — the reader's declared defaults first (``reads_campaign("F1",
+days=364.0)``), else :meth:`CampaignKey.make`'s — and passes every other
+knob to the body.  The runner's stage 1 plans from the same function
+(:func:`task_campaign_keys`), so what a reader declares is what it reads.
+A plan's ``execute`` is wrapped the same way (R1, F6); its task params
+are then the reader's knobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
-from repro.workloads import ScenarioResult, run_scenario
+from repro.workloads import run_scenario
 from repro.workloads.synthetic import (
     CAMPAIGN_DAYS,
-    CAMPAIGN_POPULATION_SCALE,
-    CAMPAIGN_SCALE,
     CAMPAIGN_SEED,
     CampaignArtifact,
     CampaignKey,
@@ -39,10 +59,11 @@ __all__ = [
     "TaskPlan",
     "registry",
     "task_plans",
-    "campaign_plans",
+    "campaign_readers",
     "register",
     "register_tasks",
-    "register_campaigns",
+    "reads_campaign",
+    "reader_campaign",
     "run_experiment",
     "run_via_tasks",
     "plan_tasks",
@@ -50,7 +71,6 @@ __all__ = [
     "execute_task",
     "merge_tasks",
     "campaign",
-    "campaign_key",
     "task_campaign_keys",
     "CAMPAIGN_STAGE_ID",
     "CAMPAIGN_DAYS",
@@ -230,57 +250,35 @@ def run_via_tasks(experiment_id: str, **knobs) -> ExperimentOutput:
 
 
 #: The process's one campaign memo, keyed by canonical :class:`CampaignKey`.
-#: Holds live :class:`ScenarioResult` objects (no artifact store) or
-#: :class:`CampaignArtifact` snapshots (store active) — the two expose the
-#: same measurement surface, including the classifications each computes
-#: once (:class:`~repro.workloads.synthetic.CampaignMeasurements`); clearing
-#: the memo drops them too.
-_campaign_cache: dict[CampaignKey, ScenarioResult | CampaignArtifact] = {}
-
-#: :func:`campaign`'s knob names, in :meth:`CampaignKey.make` order.
-campaign_key = CampaignKey.make
+#: Every entry is a :class:`CampaignArtifact`, loaded from the active store
+#: or converted once from a live run; it keeps the classifications its
+#: readers computed (see :class:`CampaignArtifact`), so clearing the memo
+#: drops them too.
+_campaign_cache: dict[CampaignKey, CampaignArtifact] = {}
 
 
-def campaign(
-    days: float = CAMPAIGN_DAYS,
-    seed: int = CAMPAIGN_SEED,
-    scale: str = CAMPAIGN_SCALE,
-    population_scale: float = CAMPAIGN_POPULATION_SCALE,
-    gateway_tagging_coverage: float = 1.0,
-    gateway_adoption_ramp_days: float = 0.0,
-) -> ScenarioResult | CampaignArtifact:
-    """The shared campaign, memoized per canonical knob combination.
+def campaign(**knobs) -> CampaignArtifact:
+    """The campaign ``CampaignKey.make(**knobs)`` names, memoized per key.
 
     Several experiments read different aspects of the same run; the
     in-process memo keeps a serial suite's wall-clock dominated by distinct
     simulations only.  The key is canonicalized (``days=90`` and
     ``days=90.0`` are one campaign), so spelling differences between callers
     can no longer duplicate simulations.
-
-    When an artifact store is active (the parallel runner's two-stage mode,
-    :mod:`repro.runner.artifacts`), resolution goes memo → stored
-    :class:`CampaignArtifact` → live simulation; a live simulation under an
-    active store is serialized back into it so every other process of the
-    sweep reuses it instead of re-simulating.
     """
-    key = CampaignKey.make(
-        days=days,
-        seed=seed,
-        scale=scale,
-        population_scale=population_scale,
-        gateway_tagging_coverage=gateway_tagging_coverage,
-        gateway_adoption_ramp_days=gateway_adoption_ramp_days,
-    )
-    return _resolve(key, expected=False)[0]
+    return _resolve(CampaignKey.make(**knobs))[0]
 
 
 def _resolve(
-    key: CampaignKey, expected: bool
-) -> tuple[ScenarioResult | CampaignArtifact, bool]:
+    key: CampaignKey, expected: bool = False
+) -> tuple[CampaignArtifact, bool]:
     """``(campaign, simulated)``: memo, then the active store, then a live run.
 
-    ``expected`` marks the runner's stage 1, where a live simulation is the
-    planned work; anywhere else one under an active store is a fallback.
+    A live run is converted to a :class:`CampaignArtifact` once, saved when
+    a store is active (so every other process of the sweep loads it instead
+    of re-simulating) and memoized either way.  ``expected`` marks the
+    runner's stage 1, where a live simulation is the planned work; anywhere
+    else one under an active store is a fallback.
     """
     cached = _campaign_cache.get(key)
     if cached is not None:
@@ -295,47 +293,71 @@ def _resolve(
             _campaign_cache[key] = artifact
             return artifact, False
 
-    result = run_scenario(key.config())
+    artifact = CampaignArtifact.from_result(run_scenario(key.config()), key=key)
     if store is not None:
         artifact_mod.STATS.simulations += 1
         if not expected:
             artifact_mod.STATS.fallbacks += 1
-        result = CampaignArtifact.from_result(result, key=key)
-        store.save(key, result)
-    _campaign_cache[key] = result
-    return result, True
+        store.save(key, artifact)
+    _campaign_cache[key] = artifact
+    return artifact, True
 
 
-# -- campaign dependencies (the runner's stage-1 planning input) ---------------
+# -- campaign readers (the runner's stage-1 planning input) --------------------
 
-campaign_plans: dict[str, Callable[[dict], Any]] = {}
+#: Each campaign reader's declared knob defaults, by experiment id.
+campaign_readers: dict[str, dict] = {}
+
+_KEY_FIELDS = frozenset(f.name for f in fields(CampaignKey))
 
 
-def register_campaigns(
-    experiment_id: str, campaigns: Callable[[dict], Any]
-) -> None:
-    """Declare which campaigns ``experiment_id``'s tasks read.
+def reader_campaign(experiment_id: str, knobs: dict) -> tuple[CampaignKey, dict]:
+    """``(key, rest)``: the campaign a reader's ``knobs`` name, and the rest.
 
-    ``campaigns(params)`` receives one task's params (``__whole__`` already
-    stripped) and returns the :class:`CampaignKey` list that task resolves
-    through :func:`campaign`.  The parallel runner uses the declarations to
-    simulate each distinct campaign exactly once before fanning measurement
-    tasks out; an undeclared (or under-declared) experiment still runs
-    correctly — its workers just fall back to live simulation on a store
-    miss.
+    The reader's declared defaults come first, then ``knobs``; the
+    :class:`CampaignKey` fields among them name the campaign (missing ones
+    take :meth:`CampaignKey.make`'s defaults) and every other knob is
+    returned for the body.
     """
-    if experiment_id in campaign_plans:
-        raise ValueError(f"duplicate campaign plan for {experiment_id!r}")
-    campaign_plans[experiment_id] = campaigns
+    merged = {**campaign_readers[experiment_id], **knobs}
+    key = CampaignKey.make(
+        **{name: value for name, value in merged.items() if name in _KEY_FIELDS}
+    )
+    rest = {name: value for name, value in merged.items() if name not in _KEY_FIELDS}
+    return key, rest
+
+
+def reads_campaign(experiment_id: str, **defaults):
+    """Decorator: ``body(result, **rest)`` becomes a function of the knobs.
+
+    The wrapped function resolves the campaign its keyword knobs name
+    (:func:`reader_campaign`) and hands the :class:`CampaignArtifact` and
+    the remaining knobs to ``body``.  ``defaults`` are the reader's own
+    knob defaults where they differ from :meth:`CampaignKey.make`'s.
+    """
+
+    def wrap(body: Callable[..., Any]) -> Callable[..., Any]:
+        if experiment_id in campaign_readers:
+            raise ValueError(f"duplicate campaign reader {experiment_id!r}")
+        campaign_readers[experiment_id] = defaults
+        signature = inspect.signature(body)
+
+        def read(**knobs):
+            key, rest = reader_campaign(experiment_id, knobs)
+            signature.bind(None, **rest)  # a misspelt knob fails before simulating
+            return body(_resolve(key)[0], **rest)
+
+        return read
+
+    return wrap
 
 
 def task_campaign_keys(task: ExperimentTask) -> tuple[CampaignKey, ...]:
-    """The campaigns ``task`` is declared to depend on (() = undeclared)."""
-    campaigns = campaign_plans.get(task.experiment_id)
-    if campaigns is None:
+    """The campaign ``task`` reads (() for an experiment that reads none)."""
+    if task.experiment_id not in campaign_readers:
         return ()
     params = {k: v for k, v in task.params.items() if k != "__whole__"}
-    return tuple(campaigns(params))
+    return (reader_campaign(task.experiment_id, params)[0],)
 
 
 def _execute_campaign_stage(key_fields: dict) -> dict:
@@ -348,14 +370,12 @@ def _execute_campaign_stage(key_fields: dict) -> dict:
     from repro.runner import artifacts as artifact_mod
 
     key = CampaignKey.make(**key_fields)
-    result, simulated = _resolve(key, expected=True)
+    artifact, simulated = _resolve(key, expected=True)
     store = artifact_mod.active_store()
     if store is not None and not store.has(key):
         # A memo hit (e.g. a store-less run earlier in this process, or
         # a forked worker inheriting the parent memo) satisfied the call
         # without writing: stage 1's one job is to leave an artifact
         # behind for stage 2 and future runs, so persist it now.
-        if not isinstance(result, CampaignArtifact):
-            result = CampaignArtifact.from_result(result, key=key)
-        store.save(key, result)
+        store.save(key, artifact)
     return {"campaign": key.asdict(), "simulated": simulated}

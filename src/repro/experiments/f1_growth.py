@@ -10,31 +10,22 @@ from __future__ import annotations
 from repro.core import quarterly_user_counts
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import ascii_table, series_block
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
 from repro.infra.units import QUARTER
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
 
 @register("F1")
-def run(
-    days: float = 364.0,
-    seed: int = 1,
-    ramp_days: float = 270.0,
-    population_scale: float = 0.03,
-) -> ExperimentOutput:
-    result = campaign(
-        days=days,
-        seed=seed,
-        population_scale=population_scale,
-        gateway_adoption_ramp_days=ramp_days,
-    )
+@reads_campaign(
+    "F1",
+    days=364.0,
+    population_scale=0.03,
+    gateway_adoption_ramp_days=270.0,
+)
+def run(result: CampaignArtifact) -> ExperimentOutput:
+    key = result.key
     series = quarterly_user_counts(result.records, bucket=QUARTER)
     quarters = sorted(series)
 
@@ -49,7 +40,8 @@ def run(
         rows,
         title=(
             f"F1 — Active users per modality by quarter "
-            f"({days:g} days, gateway adoption ramp {ramp_days:g} days)"
+            f"({key.days:g} days, gateway adoption ramp "
+            f"{key.gateway_adoption_ramp_days:g} days)"
         ),
     )
     figure = series_block(
@@ -68,17 +60,3 @@ def run(
         },
     )
 
-
-def _campaigns(params: dict) -> list:
-    """F1's year-long adoption campaign (``ramp_days`` maps to the ramp knob)."""
-    return [
-        campaign_key(
-            days=params.get("days", 364.0),
-            seed=params.get("seed", 1),
-            population_scale=params.get("population_scale", 0.03),
-            gateway_adoption_ramp_days=params.get("ramp_days", 270.0),
-        )
-    ]
-
-
-register_campaigns("F1", _campaigns)

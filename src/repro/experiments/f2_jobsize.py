@@ -11,13 +11,8 @@ import numpy as np
 
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import ascii_table, series_block
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
@@ -25,8 +20,8 @@ _SIZES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
 @register("F2")
-def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("F2")
+def run(result: CampaignArtifact) -> ExperimentOutput:
     metrics = result.modality_metrics
 
     ccdf: dict[str, list[tuple[float, float]]] = {}
@@ -47,7 +42,7 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
     table = ascii_table(
         ["modality", "cores p50/p90/max"],
         [[m.value, percentiles[m]] for m in MODALITY_ORDER if m in percentiles],
-        title=f"F2 — Job sizes per modality over {days:g} days",
+        title=f"F2 — Job sizes per modality over {result.key.days:g} days",
     )
     figure = series_block("F2 series (x=cores, y=P[size >= x])", ccdf)
     return ExperimentOutput(
@@ -56,16 +51,3 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
         text=table + "\n\n" + figure,
         data={"ccdf": ccdf},
     )
-
-
-def _campaigns(params: dict) -> list:
-    """The one campaign F2's (single) task reads — see ``run``'s knobs."""
-    knobs = dict(params)
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("F2", _campaigns)

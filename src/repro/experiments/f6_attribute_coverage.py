@@ -17,13 +17,12 @@ from repro.core.report import ascii_table, series_block
 from repro.experiments.base import (
     ExperimentOutput,
     ExperimentTask,
-    campaign,
-    campaign_key,
+    reads_campaign,
     register,
-    register_campaigns,
     register_tasks,
     run_via_tasks,
 )
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
@@ -41,20 +40,20 @@ def plan(
         ExperimentTask(
             experiment_id="F6",
             index=index,
-            params={"days": days, "seed": int(seed), "coverage": float(coverage)},
+            params={
+                "days": days,
+                "seed": int(seed),
+                "gateway_tagging_coverage": float(coverage),
+            },
             seed=int(seed),
         )
         for index, coverage in enumerate(coverages)
     ]
 
 
-def execute(params: dict) -> dict:
+@reads_campaign("F6")
+def execute(result: CampaignArtifact) -> dict:
     """One sweep point: campaign at one tagging coverage, count recovery."""
-    result = campaign(
-        days=params["days"],
-        seed=params["seed"],
-        gateway_tagging_coverage=params["coverage"],
-    )
     truth = result.active_truth_by_identity()
     true_gateway = sum(1 for m in truth.values() if m is Modality.GATEWAY)
     classification = AttributeClassifier().classify(result.records)
@@ -127,19 +126,9 @@ def merge(
     )
 
 
-def _campaigns(params: dict) -> list:
-    """Each F6 sweep point is its own campaign at one tagging coverage."""
-    return [
-        campaign_key(
-            days=params["days"],
-            seed=params["seed"],
-            gateway_tagging_coverage=params["coverage"],
-        )
-    ]
-
-
-register_tasks("F6", plan=plan, execute=execute, merge=merge)
-register_campaigns("F6", _campaigns)
+register_tasks(
+    "F6", plan=plan, execute=lambda params: execute(**params), merge=merge
+)
 
 
 @register("F6")

@@ -18,13 +18,8 @@ import numpy as np
 
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import ascii_table
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
@@ -32,12 +27,10 @@ TB = 1e12
 
 
 @register("F9")
-def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("F9")
+def run(result: CampaignArtifact) -> ExperimentOutput:
     # Same-site stage-ins are local filesystem copies, not WAN movement.
-    transfers = [
-        t for t in result.network.completed_transfers if t.src != t.dst
-    ]
+    transfers = [t for t in result.transfers if t.src != t.dst]
 
     by_tag: dict[str, list] = {}
     for transfer in transfers:
@@ -72,7 +65,7 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
         ["modality", "WAN transfers", "volume", "median rate"],
         rows,
         title=(
-            f"F9 — Wide-area data movement by modality over {days:g} days "
+            f"F9 — Wide-area data movement by modality over {result.key.days:g} days "
             f"({len(transfers)} transfers, {total_volume / TB:.2f} TB total)"
         ),
     )
@@ -84,16 +77,3 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
         text=text,
         data=data,
     )
-
-
-def _campaigns(params: dict) -> list:
-    """The one campaign F9's (single) task reads — see ``run``'s knobs."""
-    knobs = dict(params)
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("F9", _campaigns)

@@ -26,13 +26,12 @@ from repro.core.report import ascii_table
 from repro.experiments.base import (
     ExperimentOutput,
     ExperimentTask,
-    campaign,
-    campaign_key,
+    reads_campaign,
     register,
-    register_campaigns,
     register_tasks,
     run_via_tasks,
 )
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
@@ -61,13 +60,9 @@ def plan(
     ]
 
 
-def execute(params: dict) -> dict:
-    """One replicate: simulate a campaign at one seed, count users."""
-    result = campaign(
-        days=params["days"],
-        seed=params["seed"],
-        population_scale=params["population_scale"],
-    )
+@reads_campaign("R1")
+def execute(result: CampaignArtifact) -> dict:
+    """One replicate: count users on the campaign at one seed."""
     counts = AttributeClassifier().classify(result.records).users_by_modality()
     values = [counts[m] for m in MODALITY_ORDER]
     return {
@@ -127,19 +122,9 @@ def merge(
     )
 
 
-def _campaigns(params: dict) -> list:
-    """Each R1 replicate simulates its own campaign at one seed."""
-    return [
-        campaign_key(
-            days=params["days"],
-            seed=params["seed"],
-            population_scale=params["population_scale"],
-        )
-    ]
-
-
-register_tasks("R1", plan=plan, execute=execute, merge=merge)
-register_campaigns("R1", _campaigns)
+register_tasks(
+    "R1", plan=plan, execute=lambda params: execute(**params), merge=merge
+)
 
 
 @register("R1")

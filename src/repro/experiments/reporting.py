@@ -26,7 +26,7 @@ FAST_KNOBS: dict[str, dict] = {
     "T6": {"days": 15.0},
     "T7": {"days": 15.0},
     "T8": {"days": 15.0},
-    "F1": {"days": 60.0, "ramp_days": 40.0},
+    "F1": {"days": 60.0, "gateway_adoption_ramp_days": 40.0},
     "F2": {"days": 15.0},
     "F3": {"days": 5.0},
     "F4": {"days": 21.0, "hero_rates": (1, 4)},

@@ -9,20 +9,15 @@ from __future__ import annotations
 
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import modality_table
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
 
 @register("T1")
-def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("T1")
+def run(result: CampaignArtifact) -> ExperimentOutput:
     records = result.records
 
     truth = result.active_truth_by_identity()
@@ -40,8 +35,8 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
             "measured (no attributes)": uninstrumented,
         },
         title=(
-            f"T1 — Users per modality over {days:g} days "
-            f"(seed {seed}; {len(truth)} active users, {len(records)} jobs)"
+            f"T1 — Users per modality over {result.key.days:g} days "
+            f"(seed {result.key.seed}; {len(truth)} active users, {len(records)} jobs)"
         ),
     )
     return ExperimentOutput(
@@ -57,16 +52,3 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
             "n_records": len(records),
         },
     )
-
-
-def _campaigns(params: dict) -> list:
-    """The one campaign T1's (single) task reads — see ``run``'s knobs."""
-    knobs = dict(params)
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("T1", _campaigns)

@@ -9,20 +9,15 @@ from __future__ import annotations
 
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import modality_table
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
 
 @register("T2")
-def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("T2")
+def run(result: CampaignArtifact) -> ExperimentOutput:
     metrics = result.modality_metrics
 
     nu_share = {m: f"{100 * metrics.nu_share(m):.1f}%" for m in MODALITY_ORDER}
@@ -39,7 +34,7 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
             "NU share": nu_share,
         },
         title=(
-            f"T2 — Usage by modality over {days:g} days "
+            f"T2 — Usage by modality over {result.key.days:g} days "
             f"(total {metrics.total_nu:,.0f} NUs, {metrics.total_jobs} jobs; "
             f"usage Gini {metrics.usage_gini:.2f})"
         ),
@@ -58,16 +53,3 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
             "gini": metrics.usage_gini,
         },
     )
-
-
-def _campaigns(params: dict) -> list:
-    """The one campaign T2's (single) task reads — see ``run``'s knobs."""
-    knobs = dict(params)
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("T2", _campaigns)

@@ -12,20 +12,15 @@ from repro.core import score_classification
 from repro.core.evaluation import user_count_errors
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import modality_table
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
 
 @register("T3")
-def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("T3")
+def run(result: CampaignArtifact) -> ExperimentOutput:
     truth_jobs = result.truth_by_job()
 
     instrumented_cls = result.classification
@@ -82,16 +77,3 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
             },
         },
     )
-
-
-def _campaigns(params: dict) -> list:
-    """The one campaign T3's (single) task reads — see ``run``'s knobs."""
-    knobs = dict(params)
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("T3", _campaigns)

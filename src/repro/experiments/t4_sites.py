@@ -9,20 +9,15 @@ from __future__ import annotations
 
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import ascii_table
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
 
 @register("T4")
-def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("T4")
+def run(result: CampaignArtifact) -> ExperimentOutput:
     metrics = result.modality_metrics
 
     sites = sorted(metrics.by_site_nu)
@@ -39,7 +34,7 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
     text = ascii_table(
         headers,
         rows,
-        title=f"T4 — NU share per site x modality over {days:g} days",
+        title=f"T4 — NU share per site x modality over {result.key.days:g} days",
     )
     return ExperimentOutput(
         experiment_id="T4",
@@ -53,16 +48,3 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
             for site in sites
         },
     )
-
-
-def _campaigns(params: dict) -> list:
-    """The one campaign T4's (single) task reads — see ``run``'s knobs."""
-    knobs = dict(params)
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("T4", _campaigns)

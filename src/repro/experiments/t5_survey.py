@@ -12,22 +12,15 @@ import numpy as np
 from repro.core import SurveyInstrument
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import modality_table
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
 
 @register("T5")
-def run(
-    days: float = 90.0, seed: int = 1, survey_seed: int = 42, **campaign_knobs
-) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("T5")
+def run(result: CampaignArtifact, survey_seed: int = 42) -> ExperimentOutput:
     truth = result.active_truth_by_identity()
     n_active = len(truth)
 
@@ -77,16 +70,3 @@ def run(
             "response_rate": outcome.response_rate,
         },
     )
-
-
-def _campaigns(params: dict) -> list:
-    """T5's campaign: every knob except ``survey_seed`` (survey-side only)."""
-    knobs = {k: v for k, v in params.items() if k != "survey_seed"}
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("T5", _campaigns)

@@ -11,20 +11,15 @@ from __future__ import annotations
 
 from repro.core.modalities import Modality
 from repro.core.report import ascii_table
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
 
 @register("T6")
-def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("T6")
+def run(result: CampaignArtifact) -> ExperimentOutput:
     records = result.records
     classification = result.classification
 
@@ -67,7 +62,7 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
         ["field of science", "account users", "jobs", "NUs", "NU share",
          "gateway NU share"],
         rows,
-        title=f"T6 — Usage by field of science over {days:g} days",
+        title=f"T6 — Usage by field of science over {result.key.days:g} days",
     )
     return ExperimentOutput(
         experiment_id="T6",
@@ -75,16 +70,3 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
         text=text,
         data=data,
     )
-
-
-def _campaigns(params: dict) -> list:
-    """The one campaign T6's (single) task reads — see ``run``'s knobs."""
-    knobs = dict(params)
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("T6", _campaigns)

@@ -14,21 +14,16 @@ from __future__ import annotations
 
 from repro.core.records import resolve_identity
 from repro.core.report import ascii_table
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
 from repro.infra.job import AttributeKeys
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
 
 @register("T7")
-def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("T7")
+def run(result: CampaignArtifact) -> ExperimentOutput:
     records = result.records
 
     per_gateway: dict[str, dict] = {}
@@ -46,7 +41,7 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
             entry["tagged"] += 1
             entry["end_users"].add(resolve_identity(record))
 
-    total_nu = result.central.total_nu()
+    total_nu = result.total_nu
     rows = []
     data = {}
     for gateway in sorted(
@@ -74,7 +69,7 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
         ["gateway", "end users identified", "jobs", "NUs", "share of all NUs",
          "tagging coverage"],
         rows,
-        title=f"T7 — Science-gateway community report over {days:g} days",
+        title=f"T7 — Science-gateway community report over {result.key.days:g} days",
     )
     return ExperimentOutput(
         experiment_id="T7",
@@ -82,16 +77,3 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
         text=text,
         data=data,
     )
-
-
-def _campaigns(params: dict) -> list:
-    """The one campaign T7's (single) task reads — see ``run``'s knobs."""
-    knobs = dict(params)
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("T7", _campaigns)

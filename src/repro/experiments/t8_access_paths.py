@@ -16,14 +16,9 @@ from __future__ import annotations
 
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import ascii_table
-from repro.experiments.base import (
-    ExperimentOutput,
-    campaign,
-    campaign_key,
-    register,
-    register_campaigns,
-)
+from repro.experiments.base import ExperimentOutput, reads_campaign, register
 from repro.infra.job import AttributeKeys
+from repro.workloads.synthetic import CampaignArtifact
 
 __all__ = ["run"]
 
@@ -31,8 +26,8 @@ _PATHS = ("login", "gram", "gateway", "engine/other")
 
 
 @register("T8")
-def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput:
-    result = campaign(days=days, seed=seed, **campaign_knobs)
+@reads_campaign("T8")
+def run(result: CampaignArtifact) -> ExperimentOutput:
     records = result.records
     classification = result.classification
 
@@ -62,7 +57,7 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
     text = ascii_table(
         ["modality", "jobs", *(f"via {p}" for p in _PATHS)],
         rows,
-        title=f"T8 — Access-path mix by modality over {days:g} days",
+        title=f"T8 — Access-path mix by modality over {result.key.days:g} days",
     )
     return ExperimentOutput(
         experiment_id="T8",
@@ -70,16 +65,3 @@ def run(days: float = 90.0, seed: int = 1, **campaign_knobs) -> ExperimentOutput
         text=text,
         data=data,
     )
-
-
-def _campaigns(params: dict) -> list:
-    """The one campaign T8's (single) task reads — see ``run``'s knobs."""
-    knobs = dict(params)
-    return [
-        campaign_key(
-            days=knobs.pop("days", 90.0), seed=knobs.pop("seed", 1), **knobs
-        )
-    ]
-
-
-register_campaigns("T8", _campaigns)

@@ -12,8 +12,8 @@ within a code version), so re-running a sweep recomputes only what changed,
 and campaign artifacts (:class:`ArtifactStore`).
 
 With an :class:`ArtifactStore` attached, execution becomes a two-stage task
-DAG: the distinct campaigns the planned tasks depend on (declared via
-:func:`repro.experiments.base.register_campaigns`) are simulated exactly
+DAG: the distinct campaigns the planned tasks read (their experiments'
+:func:`repro.experiments.base.reads_campaign` knobs) are simulated exactly
 once each into :class:`CampaignArtifact` snapshots, and the measurement
 tasks then fan out over the stored artifacts instead of re-simulating per
 task — see :mod:`repro.runner.artifacts`.

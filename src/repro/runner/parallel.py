@@ -291,8 +291,8 @@ class ParallelRunner:
     def _campaign_stage(self, pending: Sequence[tuple[int, ExperimentTask]]) -> None:
         """Simulate each distinct campaign the pending tasks need, once.
 
-        The distinct :class:`CampaignKey` set comes from the experiments'
-        :func:`~repro.experiments.base.register_campaigns` declarations.
+        The distinct :class:`CampaignKey` set comes from the tasks' knobs
+        (:func:`~repro.experiments.base.task_campaign_keys`).
         Keys whose artifact already exists are *reused*; the rest become
         synthetic ``__campaign__`` tasks run through the same
         inline/pool/retry machinery as any other task (parallel across

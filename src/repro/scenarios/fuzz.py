@@ -19,6 +19,7 @@ breaks an invariant; both are shrunk and reported the same way.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import IO, Optional
@@ -35,7 +36,7 @@ except ImportError as exc:  # pragma: no cover - environment-dependent
 
 from repro.scenarios.dsl import ScenarioProgram
 from repro.scenarios.oracle import OracleReport, check_scenario
-from repro.scenarios.strategies import scenario_programs
+from repro.scenarios.strategies import MIN_DAYS, scenario_programs
 from repro.workloads.synthetic import run_scenario
 
 __all__ = ["FuzzOutcome", "run_fuzz"]
@@ -51,6 +52,7 @@ class FuzzOutcome:
 
     budget: int
     seed: int
+    max_days: float
     executed: int = 0
     failure: Optional[ScenarioProgram] = None
     failure_report: Optional[OracleReport] = None
@@ -66,8 +68,8 @@ def _print_replay(outcome: FuzzOutcome, out: IO[str]) -> None:
         print(f"scenario: {outcome.failure!r}", file=out)
         print(f"config:   {outcome.failure.compile()!r}", file=out)
     print(
-        f"replay:   python -m repro fuzz "
-        f"--budget {outcome.budget} --seed {outcome.seed}",
+        f"replay:   python -m repro fuzz --budget {outcome.budget} "
+        f"--seed {outcome.seed} --max-days {outcome.max_days:g}",
         file=out,
     )
 
@@ -89,7 +91,13 @@ def run_fuzz(
         raise ValueError(f"--budget must be >= 1, got {budget}")
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
-    outcome = FuzzOutcome(budget=budget, seed=seed)
+    # The strategies draw horizons of at least MIN_DAYS: a smaller (or NaN)
+    # bound would only surface as a crash inside the first draw.
+    if not MIN_DAYS <= max_days < math.inf:
+        raise ValueError(
+            f"--max-days must be a finite number >= {MIN_DAYS:g}, got {max_days}"
+        )
+    outcome = FuzzOutcome(budget=budget, seed=seed, max_days=max_days)
     print(f"fuzz: budget={budget} seed={seed} max-days={max_days:g}", file=out)
 
     @hypothesis_settings(

@@ -39,6 +39,7 @@ from repro.users.behavior import RecoveryPolicy
 from repro.workloads.scenarios import SiteSpec
 
 __all__ = [
+    "MIN_DAYS",
     "federations",
     "gateway_fleets",
     "ingest_faults",
@@ -48,6 +49,9 @@ __all__ = [
     "scenario_programs",
     "site_specs",
 ]
+
+#: Shortest horizon :func:`scenario_programs` draws (its ``max_days`` floor).
+MIN_DAYS = 2.0
 
 #: Deterministic site-name pool (names never matter, uniqueness does).
 _SITE_NAMES = tuple(f"site{i:02d}" for i in range(8))
@@ -196,7 +200,7 @@ def scenario_programs(draw, max_days: float = 6.0) -> ScenarioProgram:
         name=f"fuzz-{draw(st.integers(min_value=0, max_value=10**6))}",
         description="drawn from scenario space",
         days=draw(
-            st.floats(min_value=2.0, max_value=max_days, allow_nan=False)
+            st.floats(min_value=MIN_DAYS, max_value=max_days, allow_nan=False)
         ),
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
         federation=draw(federations()),

@@ -16,10 +16,8 @@ Two campaign-sharing companions live here as well:
   (records, truth maps, community accounts, accounting totals, WAN
   transfers) without the live :class:`~repro.sim.Simulator` object graph,
   so one worker's simulation can be serialized once and fanned out to the
-  rest of a sweep.
-
-Both share :class:`CampaignMeasurements`: the campaign's classifications
-and modality metrics, computed on first read and kept with the object.
+  rest of a sweep.  It also carries the campaign's classifications and
+  modality metrics, computed on first read and kept with the object.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ __all__ = [
     "CAMPAIGN_SEED",
     "CampaignArtifact",
     "CampaignKey",
-    "CampaignMeasurements",
     "ScenarioConfig",
     "ScenarioResult",
     "TransferSummary",
@@ -174,51 +171,14 @@ class ScenarioConfig:
         return self.packet_faults is not None and self.packet_faults.enabled
 
 
-class CampaignMeasurements:
-    """A campaign's modality measurements, computed once per object.
-
-    Subclasses provide ``records`` and ``community_accounts``.  Every table
-    that reads the default classification or its metrics reads these
-    attributes instead of classifying again, so a memoized campaign is
-    classified once per process.  Each is computed on first read and kept
-    on the instance until the instance goes (dropping a campaign from the
-    memo drops its measurements).  Pickling leaves them out: a stored
-    artifact holds the same bytes whether or not they were read.  Readers
-    share one result and must not mutate it.
-    """
-
-    _MEASUREMENTS = (
-        "classification", "heuristic_classification", "modality_metrics",
-    )
-
-    @cached_property
-    def classification(self) -> Classification:
-        """The default :class:`AttributeClassifier`'s classification."""
-        return AttributeClassifier().classify(self.records)
-
-    @cached_property
-    def heuristic_classification(self) -> Classification:
-        """The pre-instrumentation one, knowing the community accounts."""
-        return HeuristicClassifier(
-            known_community_accounts=self.community_accounts
-        ).classify(self.records)
-
-    @cached_property
-    def modality_metrics(self) -> ModalityMetrics:
-        """:func:`compute_metrics` over :attr:`classification`."""
-        return compute_metrics(self.records, self.classification)
-
-    def __getstate__(self) -> dict:
-        return {
-            name: value
-            for name, value in self.__dict__.items()
-            if name not in self._MEASUREMENTS
-        }
-
-
 @dataclass
-class ScenarioResult(CampaignMeasurements):
-    """Everything a measurement experiment needs from one run."""
+class ScenarioResult:
+    """One live run: its accounting, population, federation and simulator.
+
+    Campaign readers get the :class:`CampaignArtifact` extracted from it;
+    the oracle and experiments that simulate their own federations read it
+    directly.
+    """
 
     config: ScenarioConfig
     central: CentralAccountingDB
@@ -447,10 +407,11 @@ class CampaignKey:
     Construct through :meth:`make`, which coerces every field to its
     canonical type — ``days=90`` (int) and ``days=90.0`` (float) historically
     produced *distinct* memo entries and therefore duplicate simulations;
-    canonicalization collapses them.  The field set is exactly the knob set
-    of :func:`repro.experiments.base.campaign`, and :meth:`config` expands a
-    key back into the :class:`ScenarioConfig` that function builds, so a key
-    alone is sufficient to (re)simulate its campaign bit-for-bit.
+    canonicalization collapses them.  The field names are the campaign
+    knobs a reader takes (:func:`repro.experiments.base.reads_campaign`),
+    and :meth:`config` expands a key into the :class:`ScenarioConfig` it
+    names, so a key alone is sufficient to (re)simulate its campaign
+    bit-for-bit.
     """
 
     days: float
@@ -511,49 +472,27 @@ class TransferSummary:
     duration: Optional[float]
 
 
-class _CentralView:
-    """Accounting-DB stand-in backed by extracted data (read-only)."""
-
-    def __init__(self, records: list[UsageRecord], total_nu: float) -> None:
-        self._records = records
-        self._total_nu = total_nu
-
-    def all_records(self) -> list[UsageRecord]:
-        return list(self._records)
-
-    def total_nu(self) -> float:
-        return self._total_nu
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-class _NetworkView:
-    """Network stand-in exposing only the completed-transfer log."""
-
-    def __init__(self, transfers: tuple[TransferSummary, ...]) -> None:
-        self._transfers = transfers
-
-    @property
-    def completed_transfers(self) -> tuple[TransferSummary, ...]:
-        return self._transfers
-
-
 @dataclass
-class CampaignArtifact(CampaignMeasurements):
+class CampaignArtifact:
     """A measurement-sufficient snapshot of one campaign's results.
 
-    Duck-types the slice of :class:`ScenarioResult` the campaign-reading
-    experiments consume — ``records``, the truth maps, ``community_accounts``,
-    ``central.total_nu()``, ``network.completed_transfers`` and the
-    :class:`CampaignMeasurements` — while containing only plain picklable
-    data (no simulator, no providers, no event queues).  The measurements
-    are not part of the stored snapshot: they are left out of the pickle
-    and computed again on first read after a load.  :meth:`from_result`
-    extracts one from a live result; the round-trip fidelity contract
-    (every measurement taken from the artifact equals the one taken live)
-    is enforced by the test suite, because the byte-identity of
-    store-enabled sweeps rests on it.
+    What every campaign-reading experiment gets: ``records``, the truth
+    maps, ``community_accounts``, ``total_nu``, the WAN ``transfers`` and
+    the campaign's measurements, as plain picklable data (no simulator, no
+    providers, no event queues).  :meth:`from_result` extracts one from a
+    live :class:`ScenarioResult`; the round-trip fidelity contract (every
+    measurement taken from the artifact equals the one taken live) is
+    enforced by the test suite, because the byte-identity of store-enabled
+    sweeps rests on it.
+
+    The measurements — :attr:`classification`,
+    :attr:`heuristic_classification` and :attr:`modality_metrics` — are
+    computed on first read and kept on the instance until the instance goes
+    (dropping a campaign from the memo drops its measurements), so a
+    memoized campaign is classified once per process.  Pickling leaves them
+    out: a stored artifact holds the same bytes whether or not they were
+    read, and a loaded one computes them again on first read.  Readers
+    share one artifact and must not mutate it.
     """
 
     key: Optional[CampaignKey]
@@ -594,19 +533,6 @@ class CampaignArtifact(CampaignMeasurements):
             metric_snapshot=registry.as_dict() if registry is not None else {},
         )
 
-    # -- the ScenarioResult measurement surface ------------------------------
-    @property
-    def central(self) -> _CentralView:
-        return _CentralView(self.records, self.total_nu)
-
-    @property
-    def network(self) -> _NetworkView:
-        return _NetworkView(self.transfers)
-
-    @property
-    def config(self) -> Optional[ScenarioConfig]:
-        return self.key.config() if self.key is not None else None
-
     def truth_by_job(self) -> dict[int, Modality]:
         return dict(self.job_truth)
 
@@ -618,4 +544,33 @@ class CampaignArtifact(CampaignMeasurements):
             identity: modality
             for identity, modality in self.identity_truth.items()
             if identity in self.active_identities
+        }
+
+    # -- the measurements, computed once per artifact ------------------------
+    _MEASUREMENTS = (
+        "classification", "heuristic_classification", "modality_metrics",
+    )
+
+    @cached_property
+    def classification(self) -> Classification:
+        """The default :class:`AttributeClassifier`'s classification."""
+        return AttributeClassifier().classify(self.records)
+
+    @cached_property
+    def heuristic_classification(self) -> Classification:
+        """The pre-instrumentation one, knowing the community accounts."""
+        return HeuristicClassifier(
+            known_community_accounts=self.community_accounts
+        ).classify(self.records)
+
+    @cached_property
+    def modality_metrics(self) -> ModalityMetrics:
+        """:func:`compute_metrics` over :attr:`classification`."""
+        return compute_metrics(self.records, self.classification)
+
+    def __getstate__(self) -> dict:
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in self._MEASUREMENTS
         }

@@ -108,13 +108,17 @@ def test_burst_fraction_in_features(make_record):
     assert features.burst_fraction == 1.0
 
 
-def test_build_identity_views_groups_and_finalizes(make_record):
+def test_build_identity_views_groups_in_submission_order(make_record):
     records = [
-        make_record(user="alice"),
-        make_record(user="bob"),
-        make_record(user="alice"),
+        make_record(user="alice", submit=900.0, job_id=3),
+        make_record(user="bob", submit=0.0, job_id=2),
+        make_record(user="alice", submit=60.0, job_id=4),
+        # Same submission time as job 4: the job id breaks the tie.
+        make_record(user="alice", submit=60.0, job_id=1),
         make_record(
             user="gw_x",
+            submit=30.0,
+            job_id=5,
             attributes={
                 AttributeKeys.GATEWAY_USER: "enduser",
                 AttributeKeys.GATEWAY_NAME: "portal",
@@ -122,9 +126,12 @@ def test_build_identity_views_groups_and_finalizes(make_record):
         ),
     ]
     views = build_identity_views(records)
-    assert set(views) == {"alice", "bob", "portal:enduser"}
-    assert views["alice"].features.n_jobs == 2
-    assert all(v.features is not None for v in views.values())
+    # Identities in order of first appearance; records in submission order.
+    assert list(views) == ["alice", "bob", "portal:enduser"]
+    assert all(view.identity == name for name, view in views.items())
+    assert [r.job_id for r in views["alice"].records] == [1, 4, 3]
+    assert [r.job_id for r in views["bob"].records] == [2]
+    assert [r.job_id for r in views["portal:enduser"].records] == [5]
 
 
 def test_build_identity_views_without_attributes(make_record):

@@ -8,7 +8,7 @@ for).
 import pytest
 
 from repro.core.modalities import MODALITY_ORDER, Modality
-from repro.experiments import ExperimentOutput, registry, run_experiment
+from repro.experiments import ExperimentOutput, base, registry, run_experiment
 from repro.experiments.base import campaign
 
 ALL_IDS = {
@@ -25,6 +25,17 @@ def test_registry_covers_design_md_index():
 def test_unknown_experiment_raises():
     with pytest.raises(KeyError):
         run_experiment("T99")
+
+
+def test_misspelt_reader_knob_fails_before_simulating(monkeypatch):
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("resolved a campaign for a misspelt knob")
+
+    monkeypatch.setattr(base, "_resolve", no_campaign)
+    with pytest.raises(TypeError, match="dayz"):
+        run_experiment("T1", dayz=3.0)
+    with pytest.raises(TypeError, match="survey_seed"):
+        run_experiment("T2", days=3.0, survey_seed=1)  # T5's knob, not T2's
 
 
 def test_campaign_cache_returns_same_object():
@@ -90,7 +101,11 @@ def test_t5_shares_are_probabilities(fast_knobs):
 
 def test_f1_series_lengths_match(fast_knobs):
     output = run_experiment(
-        "F1", days=40.0, seed=2, ramp_days=30.0, population_scale=0.03
+        "F1",
+        days=40.0,
+        seed=2,
+        gateway_adoption_ramp_days=30.0,
+        population_scale=0.03,
     )
     lengths = {len(v) for v in output.data.values()}
     assert len(lengths) == 1

@@ -1,7 +1,8 @@
 """One classification per memoized campaign, shared by every table.
 
-T1-T6, T8 and F2 read the campaign's memoized measurements
-(:class:`~repro.workloads.synthetic.CampaignMeasurements`) instead of
+T1-T6, T8 and F2 read the campaign's memoized measurements (the
+classifications and metrics of its
+:class:`~repro.workloads.synthetic.CampaignArtifact`) instead of
 classifying its records again.  Sharing one result must not change any
 experiment's output, whatever order the experiments run in, and the memo
 must live and die with the campaign object in ``_campaign_cache``.
@@ -15,12 +16,7 @@ from repro.core.classifier import AttributeClassifier, HeuristicClassifier
 from repro.experiments import base, run_experiment
 from repro.runner import artifacts as artifact_mod
 from repro.runner.artifacts import ArtifactStore
-from repro.workloads.synthetic import (
-    CampaignArtifact,
-    CampaignKey,
-    ScenarioResult,
-    run_scenario,
-)
+from repro.workloads.synthetic import CampaignArtifact, CampaignKey, run_scenario
 
 #: The measurement-only experiments that read the T-table campaign.
 WARM = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "F2", "F9")
@@ -87,7 +83,8 @@ def test_store_less_campaign_classifies_once_until_the_memo_is_cleared(
     for experiment_id in WARM:
         run_experiment(experiment_id, **KNOBS)
     (result,) = memo.values()
-    assert isinstance(result, ScenarioResult)
+    assert isinstance(result, CampaignArtifact)
+    assert result.key == CampaignKey.make(**KNOBS)
     assert classify_calls == {"AttributeClassifier": 1, "HeuristicClassifier": 1}
 
     base._campaign_cache.clear()

@@ -8,6 +8,8 @@ import pickle
 
 import pytest
 
+from repro.core.classifier import AttributeClassifier, HeuristicClassifier
+from repro.core.metrics import compute_metrics
 from repro.experiments import base
 from repro.runner import artifacts as artifact_mod
 from repro.runner.artifacts import ArtifactStore, stats_delta, stats_snapshot
@@ -88,25 +90,31 @@ def test_artifact_mirrors_every_live_measurement(key, artifact, live_result):
     )
     assert artifact.active_truth_by_identity() == result.active_truth_by_identity()
     assert artifact.community_accounts == frozenset(result.community_accounts)
-    assert artifact.central.total_nu() == result.central.total_nu()
-    assert artifact.central.all_records() == result.central.all_records()
-    assert len(artifact.central) == len(result.central.all_records())
+    assert artifact.total_nu == result.central.total_nu()
     live_transfers = result.network.completed_transfers
-    assert len(artifact.network.completed_transfers) == len(live_transfers)
-    for summary, live in zip(artifact.network.completed_transfers, live_transfers):
+    assert len(artifact.transfers) == len(live_transfers)
+    for summary, live in zip(artifact.transfers, live_transfers):
         assert (summary.src, summary.dst, summary.size_bytes) == (
             live.src, live.dst, live.size_bytes
         )
         assert summary.tag == live.tag
         assert summary.duration == live.duration
-    assert artifact.config == result.config
-    # The memoized measurements the tables read instead of classifying.
-    for name in ("classification", "heuristic_classification"):
-        mine, live = getattr(artifact, name), getattr(result, name)
-        assert mine.job_labels == live.job_labels
-        assert list(mine.identity_primary) == list(live.identity_primary)
-        assert mine.identity_primary == live.identity_primary
-    assert artifact.modality_metrics == result.modality_metrics
+    assert artifact.key.config() == result.config
+    # The memoized measurements equal the classifiers run on the live records.
+    live = {
+        "classification": AttributeClassifier().classify(result.records),
+        "heuristic_classification": HeuristicClassifier(
+            known_community_accounts=result.community_accounts
+        ).classify(result.records),
+    }
+    for name, expected in live.items():
+        mine = getattr(artifact, name)
+        assert mine.job_labels == expected.job_labels
+        assert list(mine.identity_primary) == list(expected.identity_primary)
+        assert mine.identity_primary == expected.identity_primary
+    assert artifact.modality_metrics == compute_metrics(
+        result.records, live["classification"]
+    )
 
 
 def test_stored_then_loaded_artifact_is_equal(tmp_path, key, artifact):

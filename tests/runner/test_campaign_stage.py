@@ -7,17 +7,21 @@ including when artifacts already exist (resume) and when the chaos harness
 corrupts them (quarantine -> live fallback).
 """
 
+import dataclasses
+
 import pytest
 
+from repro.experiments import base
 from repro.experiments.base import (
     CAMPAIGN_STAGE_ID,
     _campaign_cache,
-    campaign_key,
-    campaign_plans,
+    campaign,
+    execute_task,
     plan_tasks,
     task_campaign_keys,
 )
 from repro.runner import ArtifactStore, ParallelRunner, ResultCache
+from repro.workloads.synthetic import CampaignKey
 
 
 @pytest.fixture(autouse=True)
@@ -51,9 +55,62 @@ def reference():
 
 # -- campaign dependency declarations ------------------------------------------
 
-def test_every_campaign_reader_declares_its_campaigns():
-    for experiment_id in ("T1", "T5", "F1", "F6", "R1"):
-        assert experiment_id in campaign_plans
+#: Every campaign reader at small knobs, plus the knobs that move a key in
+#: less obvious ways: a non-key knob (T5), a reader's own defaults (F1),
+#: per-task seeds (R1) and per-task coverages (F6).
+_READERS = [
+    *(
+        (experiment_id, {"days": 2.0})
+        for experiment_id in (
+            "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "F2", "F9",
+        )
+    ),
+    ("T5", {"days": 2.0, "survey_seed": 7}),
+    ("F1", {}),
+    ("R1", {"days": 2.0, "seeds": (1, 2)}),
+    ("F6", {"days": 2.0, "coverages": (0.0, 1.0)}),
+]
+
+
+def test_every_campaign_reader_declares_its_campaigns(monkeypatch):
+    """Each task reads exactly the campaign stage 1 plans for it.
+
+    ``_resolve`` is replaced by a recorder that serves one small campaign
+    under whatever key it is asked for, so every reader runs its real body
+    (F1 at its year-long defaults too) without simulating that campaign.
+    """
+    small = campaign(days=1.0, population_scale=0.02)
+    read = []
+
+    def recording(key, expected=False):
+        read.append(key)
+        return dataclasses.replace(small, key=key), False
+
+    monkeypatch.setattr(base, "_resolve", recording)
+    for experiment_id, knobs in _READERS:
+        for task in plan_tasks(experiment_id, **knobs):
+            read.clear()
+            execute_task(task)
+            declared = task_campaign_keys(task)
+            assert len(declared) == 1, (experiment_id, task.params)
+            assert read == list(declared), (experiment_id, task.params)
+
+    (f1,) = plan_tasks("F1")
+    assert task_campaign_keys(f1) == (
+        CampaignKey.make(
+            days=364.0, population_scale=0.03, gateway_adoption_ramp_days=270.0
+        ),
+    )
+    # A reader's non-key knob reaches its body, not the key.
+    (t5,) = plan_tasks("T5", days=2.0, survey_seed=7)
+    assert task_campaign_keys(t5) == (CampaignKey.make(days=2.0),)
+
+    # A self-contained experiment declares and reads no campaign.
+    (f3,) = plan_tasks("F3", days=0.5)
+    read.clear()
+    execute_task(f3)
+    assert task_campaign_keys(f3) == ()
+    assert read == []
 
 
 def test_shared_horizon_collapses_to_one_key():
@@ -173,7 +230,7 @@ def test_campaign_tasks_never_enter_the_result_cache(tmp_path):
     assert len(cache.entries()) == 2
     hit, _ = cache.get(
         CAMPAIGN_STAGE_ID,
-        {CAMPAIGN_STAGE_ID: campaign_key(days=4.0, seed=1).asdict()},
+        {CAMPAIGN_STAGE_ID: CampaignKey.make(days=4.0, seed=1).asdict()},
         1,
     )
     assert not hit

@@ -10,8 +10,9 @@ vocabulary of the removed multi-cell model, whose contracts they carry.)
 import pytest
 
 from repro.__main__ import main
-from repro.experiments.base import _campaign_cache, campaign_key
+from repro.experiments.base import _campaign_cache
 from repro.runner import ArtifactStore, ParallelRunner
+from repro.workloads.synthetic import CampaignKey
 
 
 @pytest.fixture(autouse=True)
@@ -58,7 +59,7 @@ def test_sharded_stage_stores_one_artifact_per_cell(tmp_path):
     store = ArtifactStore(root=tmp_path)
     runner = ParallelRunner(jobs=1, use_cache=False, artifacts=store)
     runner.run_many(_MULTI)
-    key = campaign_key(days=2.0, seed=3, population_scale=0.15)
+    key = CampaignKey.make(days=2.0, seed=3, population_scale=0.15)
     assert len(store.entries()) == 1
     artifact = ArtifactStore(root=tmp_path).load(key)
     assert artifact is not None
@@ -73,7 +74,7 @@ def test_sharded_multi_cell_outputs_are_jobs_invariant(tmp_path):
     serial_store = ArtifactStore(root=tmp_path / "serial")
     serial = ParallelRunner(jobs=1, use_cache=False, artifacts=serial_store)
     reference = _texts(serial.run_many(_MULTI))
-    key = campaign_key(days=2.0, seed=3, population_scale=0.15)
+    key = CampaignKey.make(days=2.0, seed=3, population_scale=0.15)
     assert serial_store.has(key)
     assert len(serial_store.entries()) == 1
 

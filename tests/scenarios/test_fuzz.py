@@ -40,6 +40,12 @@ def test_argument_validation():
         run_fuzz(budget=0, seed=0, out=io.StringIO())
     with pytest.raises(ValueError, match="--seed"):
         run_fuzz(budget=1, seed=-1, out=io.StringIO())
+    # Below the strategies' 2-day floor, or not a finite number at all.
+    for max_days in (0.0, 1.99, -3.0, float("nan"), float("inf")):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="--max-days"):
+            run_fuzz(budget=1, seed=0, max_days=max_days, out=out)
+        assert out.getvalue() == ""  # rejected before any scenario ran
 
 
 def test_invariant_violation_prints_replay_line(monkeypatch):
@@ -89,7 +95,16 @@ def test_simulator_crash_is_reported_with_replay(monkeypatch):
     # The crashing program survives as the (shrunk) failure example.
     assert isinstance(outcome.failure, ScenarioProgram)
     assert "FAILED: scenario crashed: RuntimeError: boom" in text
-    assert f"replay:   python -m repro fuzz --budget 2 --seed {SEED}" in text
+    assert (
+        f"replay:   python -m repro fuzz --budget 2 --seed {SEED} --max-days 6\n"
+        in text
+    )
+    # The replay line names the scenario space the failure was drawn from.
+    _, wider = capture_run(budget=2, seed=SEED, max_days=10.0)
+    assert (
+        f"replay:   python -m repro fuzz --budget 2 --seed {SEED} --max-days 10\n"
+        in wider
+    )
 
 
 # ---------------------------------------------------------------- CLI
@@ -105,6 +120,14 @@ def test_cli_fuzz_green_exit_zero(capsys):
 def test_cli_fuzz_bad_budget_exit_two(capsys):
     assert main(["fuzz", "--budget", "0"]) == 2
     assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_days", ["0", "nan", "1.5"])
+def test_cli_fuzz_bad_max_days_exit_two(max_days, capsys):
+    assert main(["fuzz", "--budget", "1", "--max-days", max_days]) == 2
+    captured = capsys.readouterr()
+    assert "--max-days must be a finite number >= 2" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_fuzz_red_exit_one(monkeypatch, capsys):

@@ -8,14 +8,13 @@ here, it breaks every published number in the repo — this is the canary.
 
 import pytest
 
-from repro.experiments.base import campaign
 from repro.scenarios import check_scenario, teragrid_baseline
-from repro.workloads.synthetic import CAMPAIGN_DAYS, CampaignKey
+from repro.workloads.synthetic import CAMPAIGN_DAYS, CampaignKey, run_scenario
 
 
 @pytest.fixture(scope="module")
 def canonical():
-    result = campaign()
+    result = run_scenario(CampaignKey.make().config())
     report = check_scenario(result)
     return result, report
 

@@ -478,6 +478,28 @@ def test_nonpositive_or_nonfinite_number_is_a_usage_error(argv, capsys):
     assert f"{flag}: must be a positive number, got {value}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "t2_usage", "--top", "0"],
+        ["profile", "t2_usage", "--top", "-1"],
+        ["profile", "t2_usage", "--span-cap", "-5"],
+    ],
+)
+def test_profile_count_below_its_floor_is_a_usage_error(argv, capsys):
+    """``--top`` must keep a row and ``--span-cap`` must not be negative:
+    both are checked at parse time, before anything is profiled."""
+    flag, value = argv[-2:]
+    floor = 1 if flag == "--top" else 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert f"{flag}: must be >= {floor}, got {value}" in captured.err
+    assert captured.out == ""
+
+
 def test_profile_json_writes_benchmark_payload(tmp_path, capsys):
     import json
 
