@@ -11,7 +11,6 @@ sweep parallelizes across worker processes.
 
 from __future__ import annotations
 
-from repro.core import AttributeClassifier
 from repro.core.modalities import Modality
 from repro.core.report import ascii_table, series_block
 from repro.experiments.base import (
@@ -56,7 +55,7 @@ def execute(result: CampaignArtifact) -> dict:
     """One sweep point: campaign at one tagging coverage, count recovery."""
     truth = result.active_truth_by_identity()
     true_gateway = sum(1 for m in truth.values() if m is Modality.GATEWAY)
-    classification = AttributeClassifier().classify(result.records)
+    classification = result.classification
     # Gateway-primary identities split into *identified end users*
     # (resolved through a gateway-user attribute -> "<gateway>:<user>")
     # and *community-account remainders* (the untagged residue an

@@ -20,7 +20,6 @@ byte-identical.
 from __future__ import annotations
 
 from repro.analysis import describe
-from repro.core import AttributeClassifier
 from repro.core.modalities import MODALITY_ORDER
 from repro.core.report import ascii_table
 from repro.experiments.base import (
@@ -63,7 +62,7 @@ def plan(
 @reads_campaign("R1")
 def execute(result: CampaignArtifact) -> dict:
     """One replicate: count users on the campaign at one seed."""
-    counts = AttributeClassifier().classify(result.records).users_by_modality()
+    counts = result.classification.users_by_modality()
     values = [counts[m] for m in MODALITY_ORDER]
     return {
         "counts": {m.value: counts[m] for m in MODALITY_ORDER},

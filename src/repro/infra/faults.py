@@ -91,9 +91,9 @@ class NodeFailureInjector:
                 len(running), size=strikes, replace=False,
                 p=weights / weights.sum(),
             )
-            # Interrupts are deferred (URGENT events), so killing several
-            # victims in one pass is safe; sorted order keeps the event
-            # sequence independent of choice()'s internal permutation.
+            # Kills are deferred, so killing several victims in one pass is
+            # safe; sorted order keeps the event sequence independent of
+            # choice()'s internal permutation.
             for index in np.sort(victims):
-                running[int(index)].runner.interrupt("node_failure")
+                self.scheduler.kill(running[int(index)].job, "node_failure")
                 self.failures_injected += 1

@@ -230,8 +230,8 @@ class SiteOutageInjector:
             )
             # Kill just enough running work to vacate the failed slice.
             # Victims are node-weighted (big jobs absorb more of the rack);
-            # interrupts are deferred URGENT events, so selecting the whole
-            # set before delivering any interrupt is safe.
+            # kills are deferred, so selecting the whole set before any
+            # victim ends is safe.
             running = list(scheduler.running.values())
             need = nodes_down - scheduler.free_nodes
             victims = []
@@ -244,7 +244,7 @@ class SiteOutageInjector:
                 victims.append(victim)
                 need -= victim.nodes
             for entry in victims:
-                entry.runner.interrupt("site_outage")
+                scheduler.kill(entry.job, "site_outage")
             outage.jobs_killed = len(victims)
             self.jobs_killed += len(victims)
             scheduler.add_reservation(

@@ -11,8 +11,7 @@ from typing import Callable, Optional
 from repro.infra.cluster import Cluster
 from repro.infra.job import Job, JobState
 from repro.infra.scheduler.profile import CapacityProfile
-from repro.sim import Interrupt, Simulator
-from repro.sim.process import Process
+from repro.sim import Event, Simulator, Timeout
 
 __all__ = ["BatchScheduler", "Reservation", "RunningJob"]
 
@@ -43,7 +42,7 @@ class RunningJob:
     job: Job
     nodes: int
     end_estimate: float  # start + requested walltime (scheduler's bound)
-    runner: Process
+    end_timer: Timeout  # ends the job at its bounded runtime, unless killed
 
 
 @dataclass(eq=False)
@@ -167,11 +166,25 @@ class BatchScheduler:
             self._emit_end(job)
             self._schedule_pass()
         elif job.state is JobState.RUNNING:
-            self.running[job.job_id].runner.interrupt("cancelled")
+            self.kill(job, "cancelled")
         elif job.state.is_terminal:
             pass  # cancelling a finished job is a harmless race
         else:
             raise ValueError(f"cannot cancel job in state {job.state}")
+
+    def kill(self, job: Job, cause: str) -> None:
+        """End a running job early: ``"node_failure"`` and ``"site_outage"``
+        fail it, any other cause (``"cancelled"``) cancels it.
+
+        The kill lands in a deferred call at the current time, ahead of every
+        same-time timer (the job's own end included), so a caller may suspend
+        the scheduler or pick more victims before any of them ends.  Only the
+        first kill of a job ends it; a later one, or a kill of a job that is
+        not running, does nothing.
+        """
+        entry = self.running.get(job.job_id)
+        if entry is not None:
+            self.sim.defer(self._kill_now, (entry, cause))
 
     def withdraw(self, job: Job) -> tuple:
         """Silently pull a *pending* job back out (metascheduler failover).
@@ -221,23 +234,30 @@ class BatchScheduler:
             raise ValueError("reservation exceeds machine size")
         self.reservations.append(reservation)
         self._version += 1
-
-        def edge_watcher(sim, reservation):
-            # Wake the scheduler when the window opens and when it closes.
-            if reservation.start > sim.now:
-                yield sim.timeout(reservation.start - sim.now)
-                self._schedule_pass()
-            if reservation.end > sim.now:
-                yield sim.timeout(reservation.end - sim.now)
-                self._drop_reservation(reservation)
-                self._schedule_pass()
-
-        self.sim.process(
-            edge_watcher(self.sim, reservation),
-            name="reservation",
-        )
+        # Re-run the policy when the window opens and when it closes.  Timers
+        # due at one instant fire in the order they were armed, so the closing
+        # timer is armed when the window opens: it fires after a same-instant
+        # timer armed before then (a drain cycle laying its next window).
+        now = self.sim.now
+        if reservation.start > now:
+            opens = self.sim.timeout(reservation.start - now, reservation)
+            opens.callbacks.append(self._reservation_opens)
+        elif reservation.end > now:
+            self._arm_reservation_close(reservation)
         self._schedule_pass()
         return reservation
+
+    def _reservation_opens(self, timer: Timeout) -> None:
+        self._schedule_pass()
+        self._arm_reservation_close(timer.value)
+
+    def _arm_reservation_close(self, reservation: Reservation) -> None:
+        closes = self.sim.timeout(reservation.end - self.sim.now, reservation)
+        closes.callbacks.append(self._reservation_closes)
+
+    def _reservation_closes(self, timer: Timeout) -> None:
+        self._drop_reservation(timer.value)
+        self._schedule_pass()
 
     # -- introspection --------------------------------------------------------
     @property
@@ -289,17 +309,13 @@ class BatchScheduler:
             return  # an equal-or-earlier wake-up is already armed
         self._next_wake = wake_at
         self._wake_epoch += 1
-        epoch = self._wake_epoch
+        wake = self.sim.timeout(wake_at - self.sim.now, self._wake_epoch)
+        wake.callbacks.append(self._wake)
 
-        def waker(sim, delay, epoch):
-            yield sim.timeout(delay)
-            if epoch == self._wake_epoch:
-                self._next_wake = None
-                self._schedule_pass()
-
-        self.sim.process(
-            waker(self.sim, wake_at - self.sim.now, epoch), name="sched-wake"
-        )
+    def _wake(self, timer: Timeout) -> None:
+        if timer.value == self._wake_epoch:  # not superseded by a later arm
+            self._next_wake = None
+            self._schedule_pass()
 
     def _ordered_queue(self) -> list[Job]:
         """Queue in service order: higher ``job.priority`` first, then FIFO.
@@ -455,28 +471,36 @@ class BatchScheduler:
         start_event = self._starts.get(job.job_id)
         if start_event is not None:
             start_event.succeed(job)
-        runner = self.sim.process(
-            self._runner(job, nodes), name=f"job-{job.job_id}"
-        )
+        end_timer = self.sim.timeout(job.bounded_runtime, job)
+        end_timer.callbacks.append(self._run_out)
         end_estimate = self.sim.now + job.walltime
         self.running[job.job_id] = RunningJob(
-            job=job, nodes=nodes, end_estimate=end_estimate, runner=runner
+            job=job, nodes=nodes, end_estimate=end_estimate, end_timer=end_timer
         )
         bisect.insort(self._releases, (end_estimate, nodes))
         self._version += 1
 
-    def _runner(self, job: Job, nodes: int):
-        try:
-            yield self.sim.timeout(job.bounded_runtime)
-            final_state = job.final_state_when_run_to_completion()
-        except Interrupt as interrupt:
-            # A user cancellation and a hardware fault end the job the same
-            # way mechanically, but accounting distinguishes them.
-            if interrupt.cause in ("node_failure", "site_outage"):
-                final_state = JobState.FAILED
-            else:
-                final_state = JobState.CANCELLED
-        release = (self.running.pop(job.job_id).end_estimate, nodes)
+    def _run_out(self, end_timer: Timeout) -> None:
+        job = end_timer.value
+        entry = self.running[job.job_id]
+        self._finish(entry, job.final_state_when_run_to_completion())
+
+    def _kill_now(self, event: Event) -> None:
+        entry, cause = event.value
+        if self.running.get(entry.job.job_id) is not entry:
+            return  # an earlier kill ended the job
+        entry.end_timer.callbacks.clear()
+        # A user cancellation and a hardware fault end the job the same way
+        # mechanically, but accounting distinguishes them.
+        if cause in ("node_failure", "site_outage"):
+            self._finish(entry, JobState.FAILED)
+        else:
+            self._finish(entry, JobState.CANCELLED)
+
+    def _finish(self, entry: RunningJob, final_state: JobState) -> None:
+        job, nodes = entry.job, entry.nodes
+        del self.running[job.job_id]
+        release = (entry.end_estimate, nodes)
         del self._releases[bisect.bisect_left(self._releases, release)]
         self._version += 1
         self.free_nodes += nodes

@@ -60,7 +60,10 @@ class WeeklyDrainScheduler(EasyBackfillScheduler):
 
     # -- classification ------------------------------------------------------
     def is_capability_job(self, job: Job) -> bool:
-        nodes = self.cluster.nodes_for(job.cores)
+        # A queued job's node count was fixed at submission.
+        nodes = self._nodes.get(job.job_id)
+        if nodes is None:
+            nodes = self.cluster.nodes_for(job.cores)
         return nodes >= self.capability_fraction * self.cluster.nodes
 
     # -- recurring reservation --------------------------------------------------
@@ -105,8 +108,3 @@ class WeeklyDrainScheduler(EasyBackfillScheduler):
         # Outside windows, capability jobs are invisible to the scheduler so
         # they cannot pin a shadow reservation and drain the machine.
         return [job for job in order if not self.is_capability_job(job)]
-
-    def _policy_pass(self) -> None:
-        if not self._ordered_queue():
-            return
-        super()._policy_pass()

@@ -141,12 +141,12 @@ class ResourceProvider:
         self.down_since = self.sim.now
         self.outages += 1
         self._up_event = self.sim.event()
-        # Suspend *before* interrupting so freed nodes don't restart work
-        # on a dead machine (interrupt delivery is deferred).
+        # Suspend *before* killing so freed nodes don't restart work on a
+        # dead machine (kills are deferred).
         self.scheduler.suspend()
         victims = list(self.scheduler.running.values())
         for entry in victims:
-            entry.runner.interrupt("site_outage")
+            self.scheduler.kill(entry.job, "site_outage")
         self.jobs_lost_to_outages += len(victims)
         return len(victims)
 

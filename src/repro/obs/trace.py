@@ -40,7 +40,7 @@ def process_type(name: str) -> str:
     """Collapse a process instance name to its type.
 
     Process names follow ``<type>:<instance>`` (``outage:SiteA``,
-    ``amie-feed:SiteB``) or ``<type>-<serial>`` (``job-523``).  A numeric
+    ``amie-feed:SiteB``) or ``<type>-<serial>`` (``recover-523``).  A numeric
     suffix is an instance serial, so it is collapsed: sim-domain aggregates
     count per process type.
     """

@@ -3,9 +3,9 @@
 SimPy is not available in this offline environment, so :mod:`repro.sim`
 provides an equivalent generator-based process/event kernel: a time-ordered
 event heap (:class:`~repro.sim.engine.Simulator`), coroutine processes that
-``yield`` events (:class:`~repro.sim.process.Process`), timeouts, condition
-events, interrupts, counting resources, stores, and reproducible named random
-streams.
+``yield`` events (:class:`~repro.sim.process.Process`), timeouts (which
+double as callback timers), condition events, counting resources, stores, and
+reproducible named random streams.
 
 Quick example::
 
@@ -28,7 +28,6 @@ from repro.sim.process import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     Timeout,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "derive_seed",

@@ -5,13 +5,14 @@ from __future__ import annotations
 import heapq
 from itertools import count
 from time import perf_counter
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.process import (
     AllOf,
     AnyOf,
     Event,
     PRIORITY_NORMAL,
+    PRIORITY_URGENT,
     Process,
     Timeout,
 )
@@ -69,7 +70,6 @@ class Simulator:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_process: Optional[Process] = None
         self._tracer = tracer if tracer is not None else _default_tracer
         self._ids: dict[str, int] = {}
 
@@ -78,11 +78,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     def peek(self) -> float:
         """Time of the next scheduled event.
@@ -114,8 +109,27 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that triggers ``delay`` time units from now."""
+        """An event that triggers ``delay`` time units from now.
+
+        A timeout doubles as a timer: a callback appended to its
+        ``callbacks`` runs when it fires, with no process behind it.
+        """
         return Timeout(self, delay, value)
+
+    def defer(self, callback: Callable[[Event], None], value: Any = None) -> Event:
+        """Call ``callback(event)`` at the current time, with ``event.value``
+        set to ``value``, ahead of every same-time event of normal priority.
+
+        The call waits for the code running now to return, so a caller may
+        finish a batch of changes (say, pick every victim of an outage)
+        before the first deferred call lands.
+        """
+        event = Event(self)
+        event._triggered = True
+        event._value = value
+        event.callbacks.append(callback)  # type: ignore[union-attr]
+        self._schedule(event, priority=PRIORITY_URGENT)
+        return event
 
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
@@ -151,15 +165,18 @@ class Simulator:
         self._now = when
         tracer = self._tracer
         if tracer is None:
-            event._run_callbacks()
+            callbacks, event.callbacks = event.callbacks, None
+            event._processed = True
+            for callback in callbacks:
+                callback(event)
         else:
             started = perf_counter()
             try:
                 event._run_callbacks()
             finally:
                 tracer.on_event(event, when, perf_counter() - started)
-        if not event.ok and not event.defused:
-            raise event.value
+        if not event._ok and not event.defused:
+            raise event._value
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.

@@ -23,7 +23,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "ConditionEvent",
     "AllOf",
     "AnyOf",
@@ -31,7 +30,8 @@ __all__ = [
 
 # Scheduling priorities: events scheduled at the same simulated time fire in
 # priority order, then in scheduling (FIFO) order.  URGENT is used for process
-# initialization and interrupts so they preempt same-time timeouts.
+# initialization and deferred calls (:meth:`Simulator.defer`) so they preempt
+# same-time timeouts.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 
@@ -159,14 +159,6 @@ class Initialize(Event):
         sim._schedule(self, delay=0.0, priority=PRIORITY_URGENT)
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
 class Process(Event):
     """Wraps a generator; triggers (as an event) when the generator returns.
 
@@ -175,7 +167,7 @@ class Process(Event):
     it, the simulation run raises the exception.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -187,51 +179,18 @@ class Process(Event):
             raise TypeError(f"process() requires a generator, got {generator!r}")
         super().__init__(sim)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        # Duck-typed tracer slot (see repro.sim.engine): the kernel must not
-        # import repro.obs, so hooks guard on the simulator's attribute.
-        tracer = getattr(sim, "_tracer", None)
+        tracer = sim._tracer
         if tracer is not None:
             tracer.on_process_start(self, sim.now)
         Initialize(sim, self)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; an interrupted process
-        is detached from whatever event it was waiting on.
-        """
-        if self._triggered:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        interrupt_event = Event(self.sim)
-        interrupt_event._triggered = True
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.defused = True  # delivered by construction
-        interrupt_event.callbacks.append(self._resume)  # type: ignore[union-attr]
-        self.sim._schedule(interrupt_event, delay=0.0, priority=PRIORITY_URGENT)
-
     # -- kernel -------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # Detach from the event we were waiting for (relevant on interrupts,
-        # where the waited-on event is still pending).
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        self._target = None
-        self.sim._active_process = self
-        tracer = getattr(self.sim, "_tracer", None)
+        sim = self.sim
+        tracer = sim._tracer
         if tracer is not None:
-            tracer.on_resume(self, self.sim.now)
+            tracer.on_resume(self, sim._now)
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -239,25 +198,21 @@ class Process(Event):
                 event.defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.sim._active_process = None
             if tracer is not None:
-                tracer.on_process_end(self, self.sim.now)
+                tracer.on_process_end(self, sim._now)
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.sim._active_process = None
             if tracer is not None:
-                tracer.on_process_end(self, self.sim.now)
+                tracer.on_process_end(self, sim._now)
             self.fail(exc)
             return
-        self.sim._active_process = None
         if not isinstance(next_event, Event):
             raise TypeError(
                 f"process {self.name!r} yielded a non-event: {next_event!r}"
             )
-        if next_event.sim is not self.sim:
+        if next_event.sim is not sim:
             raise RuntimeError("cannot wait on an event from another simulator")
-        self._target = next_event
         next_event._add_callback(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

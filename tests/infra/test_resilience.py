@@ -86,6 +86,64 @@ def test_mark_down_idempotent_and_wait_until_up():
     assert seen == [("immediate", 0.0), ("recovered", 6.0)]
 
 
+def _outage(site, victim):
+    site.mark_down()
+
+
+def _cancel(site, victim):
+    site.cancel(victim)
+
+
+@pytest.mark.parametrize(
+    "first_kill, final_state",
+    [(_cancel, JobState.CANCELLED), (_outage, JobState.FAILED)],
+)
+def test_second_kill_in_the_same_instant_is_a_no_op(first_kill, final_state):
+    sim, site, _, _ = make_site(nodes=4)
+    ended = []
+    charge = site.scheduler.on_job_end
+
+    def on_job_end(j):
+        ended.append(j)
+        charge(j)
+
+    site.scheduler.on_job_end = on_job_end
+    victim = job(sim, cores=16, walltime=10 * HOUR)   # fills the machine
+    site.submit(victim)
+    sim.run(until=1 * HOUR)
+    first_kill(site, victim)
+    site.cancel(victim)            # lands after the first kill, same instant
+    assert victim.state is JobState.RUNNING  # kills wait for the next step
+    sim.run(until=2 * HOUR)
+    assert victim.state is final_state
+    assert victim.end_time == 1 * HOUR
+    assert ended == [victim]
+    assert site.scheduler.completed == [victim]
+    assert site.scheduler.free_nodes == 4
+
+
+@pytest.mark.parametrize(
+    "kill, final_state",
+    [(_cancel, JobState.CANCELLED), (_outage, JobState.FAILED)],
+)
+def test_kill_due_at_the_jobs_end_wins(kill, final_state):
+    """A kill made at the instant the job's end timer is due runs first."""
+    sim, site, _, _ = make_site(nodes=4)
+    victim = job(sim, cores=16, walltime=10 * HOUR, runtime=5 * HOUR)
+
+    def killer(sim):
+        yield sim.timeout(6 * HOUR)
+        kill(site, victim)
+
+    sim.process(killer(sim))
+    sim.run(until=1 * HOUR)        # the killer's timer is armed before the job's
+    site.submit(victim)            # starts now, due to end at 6 h
+    sim.run(until=12 * HOUR)
+    assert victim.state is final_state
+    assert victim.end_time == 6 * HOUR
+    assert site.scheduler.completed == [victim]
+
+
 # -- outage injector -------------------------------------------------------
 
 def _run_injected(seed, until=60 * DAY):

@@ -437,6 +437,28 @@ def test_consecutive_capability_jobs_in_one_window():
     assert hero2.state is JobState.COMPLETED
 
 
+def test_capability_filter_classifies_queued_and_unsubmitted_jobs():
+    """A queued job is classified by the node count fixed at submission;
+    any other job (a metascheduler's what-if query) by its cores."""
+    sim, sched = make_rig(
+        WeeklyDrainScheduler,
+        nodes=4,
+        capability_fraction=0.9,
+        window=1 * DAY,
+        period=WEEK,
+        first_window=5 * DAY,
+    )
+    sim.run(until=4.5 * DAY)
+    hero, small = job(4, walltime=1 * DAY), job(1, walltime=1 * DAY)
+    assert sched.is_capability_job(hero)
+    assert not sched.is_capability_job(small)
+    assert sched.earliest_start(hero) == 4.5 * DAY  # the window admits it
+    assert sched.earliest_start(small) == 6 * DAY  # waits the window out
+    sched.submit(hero)
+    assert hero in sched.queue  # held back outside the window
+    assert sched.is_capability_job(hero)
+
+
 def test_drain_validation():
     with pytest.raises(ValueError):
         make_rig(WeeklyDrainScheduler, capability_fraction=0.0)

@@ -180,6 +180,26 @@ def test_same_time_events_fifo_order():
     assert order == list("abcde")
 
 
+def test_timer_callbacks_and_deferred_calls_keep_the_event_order():
+    """A timeout's callback is a timer; a deferred call runs once its caller
+    returns, ahead of same-time timeouts armed before it."""
+    sim = Simulator()
+    log = []
+
+    def deferred(event):
+        log.append(("deferred", sim.now, event.value))
+
+    def defer_one(event):
+        sim.defer(deferred, 7)
+        log.append("caller")
+
+    first, last = (lambda e: log.append("first")), (lambda e: log.append("last"))
+    for callback in (first, defer_one, last):
+        sim.timeout(5.0).callbacks.append(callback)
+    sim.run()
+    assert log == ["first", "caller", ("deferred", 5.0, 7), "last"]
+
+
 def test_step_on_empty_heap_raises():
     with pytest.raises(SimulationError):
         Simulator().step()

@@ -1,8 +1,8 @@
-"""Tests for processes, events, interrupts and condition events."""
+"""Tests for processes, events and condition events."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AllOf, AnyOf, Simulator
 
 
 def test_process_return_value_is_event_value():
@@ -104,61 +104,6 @@ def test_fail_requires_exception():
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.event().fail("not an exception")  # type: ignore[arg-type]
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((sim.now, interrupt.cause))
-
-    def interrupter(sim, victim):
-        yield sim.timeout(5.0)
-        victim.interrupt(cause="wake up")
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert log == [(5.0, "wake up")]
-
-
-def test_interrupted_process_can_keep_running():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        log.append(sim.now)
-
-    def interrupter(sim, victim):
-        yield sim.timeout(5.0)
-        victim.interrupt()
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert log == [6.0]
-
-
-def test_interrupting_dead_process_raises():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick(sim))
-    sim.run()
-    assert not proc.is_alive
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
 
 
 def test_all_of_waits_for_every_event():
