@@ -16,12 +16,12 @@ Run:  python examples/capability_scheduling.py
 import numpy as np
 
 from repro.core.report import ascii_table
-from repro.experiments.f3_wait_times import _feeder, single_site_workload
 from repro.experiments.f4_capability import _hero_arrivals
 from repro.infra.cluster import Cluster
 from repro.infra.scheduler import EasyBackfillScheduler, WeeklyDrainScheduler
 from repro.infra.units import DAY, HOUR, WEEK
 from repro.sim import RandomStreams, Simulator
+from repro.workloads.replay import replay, single_site_workload
 
 
 def run_policy(label, factory, days=28.0, load=0.65, heroes_per_week=4):
@@ -36,19 +36,11 @@ def run_policy(label, factory, days=28.0, load=0.65, heroes_per_week=4):
     heroes = _hero_arrivals(
         sim, streams.stream("heroes"), cluster, days, per_week=heroes_per_week
     )
-    arrivals = sorted(background + heroes, key=lambda pair: pair[0])
-    sim.process(_feeder(sim, scheduler, arrivals), name="feeder")
-    horizon = days * DAY
-    sim.run(until=horizon)
-    finished = [j for j in scheduler.completed if j.start_time is not None]
-    delivered = sum(
-        cluster.nodes_for(j.cores) * (min(j.end_time, horizon) - j.start_time)
-        for j in finished
-    )
-    hero_waits = [j.wait_time / HOUR for j in finished if j.user == "hero"]
+    result = replay(sim, scheduler, background + heroes, horizon=days * DAY)
+    hero_waits = [j.wait_time / HOUR for j in result.finished if j.user == "hero"]
     return [
         label,
-        f"{100 * delivered / (cluster.nodes * horizon):.1f}%",
+        f"{100 * result.utilization:.1f}%",
         f"{np.median(hero_waits):.0f}h" if hero_waits else "-",
         len(hero_waits),
     ]

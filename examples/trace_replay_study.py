@@ -13,6 +13,7 @@ import io
 
 from repro.core.report import ascii_table
 from repro.infra.cluster import Cluster
+from repro.infra.queues import default_queues
 from repro.infra.scheduler import (
     EasyBackfillScheduler,
     FairshareScheduler,
@@ -55,7 +56,9 @@ def main() -> None:
     ]:
         sim = Simulator()
         scheduler = policy(sim, cluster)
-        arrivals = arrivals_from_records(trace, max_cores=cluster.total_cores)
+        arrivals = arrivals_from_records(
+            trace, default_queues(cluster), max_cores=cluster.total_cores
+        )
         result = replay(sim, scheduler, arrivals)
         rows.append(
             [

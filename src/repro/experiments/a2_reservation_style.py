@@ -15,11 +15,11 @@ import numpy as np
 
 from repro.core.report import ascii_table
 from repro.experiments.base import ExperimentOutput, register
-from repro.experiments.f3_wait_times import _feeder, single_site_workload
 from repro.infra.cluster import Cluster
 from repro.infra.scheduler import EasyBackfillScheduler
 from repro.infra.units import DAY, HOUR
 from repro.sim import RandomStreams, Simulator
+from repro.workloads.replay import replay, single_site_workload
 
 __all__ = ["run"]
 
@@ -34,23 +34,16 @@ def _measure(sticky: bool, pad: tuple[float, float], days: float, seed: int,
         sim, rng, cluster, days, load=load, walltime_pad=pad,
         runtime_median=3 * HOUR,
     )
-    sim.process(_feeder(sim, scheduler, arrivals), name="feeder")
-    horizon = days * DAY
-    sim.run(until=horizon)
-    finished = [j for j in scheduler.completed if j.start_time is not None]
-    delivered = sum(
-        cluster.nodes_for(j.cores) * (min(j.end_time, horizon) - j.start_time)
-        for j in finished
-    )
+    result = replay(sim, scheduler, arrivals, horizon=days * DAY)
     # Wait statistics only over jobs submitted in the first half of the
     # horizon: under a growing backlog (sticky mode), late submissions are
     # right-censored and would bias the comparison.
-    early = [j for j in finished if j.submit_time <= horizon / 2]
+    early = [j for j in result.finished if j.submit_time <= result.horizon / 2]
     waits = [j.wait_time / HOUR for j in early]
     return {
-        "utilization": delivered / (cluster.nodes * horizon),
+        "utilization": result.utilization,
         "median_wait_h": float(np.median(waits)) if waits else 0.0,
-        "n_finished": len(finished),
+        "n_finished": len(result.finished),
     }
 
 

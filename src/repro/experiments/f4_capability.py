@@ -13,12 +13,12 @@ import numpy as np
 
 from repro.core.report import ascii_table
 from repro.experiments.base import ExperimentOutput, register
-from repro.experiments.f3_wait_times import _feeder, single_site_workload
 from repro.infra.cluster import Cluster
 from repro.infra.job import Job
 from repro.infra.scheduler import EasyBackfillScheduler, WeeklyDrainScheduler
 from repro.infra.units import DAY, HOUR, WEEK
 from repro.sim import RandomStreams, Simulator
+from repro.workloads.replay import replay, single_site_workload
 
 __all__ = ["run"]
 
@@ -72,25 +72,16 @@ def _run(policy_factory, days, seed, load, per_week):
     heroes = _hero_arrivals(
         sim, streams.stream("f4-heroes"), cluster, days, per_week=per_week
     )
-    arrivals = sorted(background + heroes, key=lambda pair: pair[0])
-    sim.process(_feeder(sim, scheduler, arrivals), name="feeder")
-    horizon = days * DAY
-    sim.run(until=horizon)
-    finished = [j for j in scheduler.completed if j.start_time is not None]
-    delivered = sum(
-        cluster.nodes_for(j.cores) * (min(j.end_time, horizon) - j.start_time)
-        for j in finished
-    )
-    utilization = delivered / (cluster.nodes * horizon)
+    result = replay(sim, scheduler, background + heroes, horizon=days * DAY)
     hero_waits = [
-        j.wait_time / HOUR for j in finished if j.user == "hero"
+        j.wait_time / HOUR for j in result.finished if j.user == "hero"
     ]
     background_waits = [
-        j.wait_time / HOUR for j in finished if j.user != "hero"
+        j.wait_time / HOUR for j in result.finished if j.user != "hero"
     ]
     heroes_run = len(hero_waits)
     return {
-        "utilization": utilization,
+        "utilization": result.utilization,
         "hero_median_wait_h": float(np.median(hero_waits)) if hero_waits else float("nan"),
         "background_median_wait_h": (
             float(np.median(background_waits)) if background_waits else float("nan")

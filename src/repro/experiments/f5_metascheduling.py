@@ -19,6 +19,7 @@ from repro.infra.metascheduler import SelectionStrategy
 from repro.infra.units import DAY, HOUR, MINUTE
 from repro.sim import RandomStreams, Simulator
 from repro.sim.distributions import bounded_lognormal, log2_cores
+from repro.workloads.replay import feed
 
 __all__ = ["run"]
 
@@ -42,6 +43,35 @@ def _build_federation(sim, publish_interval):
     return providers, info
 
 
+def _arrivals(sim, rng, total_cores, days, load):
+    """Poisson arrivals of small, short jobs offering ``load`` of
+    ``total_cores``: each draws its gap, then its cores, then its runtime."""
+    mean_demand = (2 ** 3.5) * (2 * HOUR)
+    rate = load * total_cores / mean_demand
+    horizon = days * DAY
+    arrivals = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            return arrivals
+        cores = log2_cores(rng, 1, 128, 3.0, 1.2)
+        runtime = bounded_lognormal(rng, 90 * MINUTE, 1.0, 5 * MINUTE, 12 * HOUR)
+        arrivals.append(
+            (
+                t,
+                Job(
+                    user="u",
+                    account="acct",
+                    cores=cores,
+                    walltime=runtime * 1.5,
+                    true_runtime=runtime,
+                    job_id=sim.next_id("job"),
+                ),
+            )
+        )
+
+
 def _measure(strategy, publish_interval, days, seed, load):
     sim = Simulator()
     providers, info = _build_federation(sim, publish_interval)
@@ -52,44 +82,18 @@ def _measure(strategy, publish_interval, days, seed, load):
         rng=streams.stream("selection"),
         info_service=info,
     )
-    rng = streams.stream("workload")
     total_cores = sum(p.cluster.total_cores for p in providers)
-    mean_demand = (2 ** 3.5) * (2 * HOUR)
-    rate = load * total_cores / mean_demand
-    submitted = []
-
-    def feeder(sim):
-        horizon = days * DAY
-        t = 0.0
-        while True:
-            gap = rng.exponential(1.0 / rate)
-            t += gap
-            if t >= horizon:
-                return
-            yield sim.timeout(gap)
-            cores = log2_cores(rng, 1, 128, 3.0, 1.2)
-            runtime = bounded_lognormal(rng, 90 * MINUTE, 1.0, 5 * MINUTE, 12 * HOUR)
-            job = Job(
-                user="u",
-                account="acct",
-                cores=cores,
-                walltime=runtime * 1.5,
-                true_runtime=runtime,
-                job_id=sim.next_id("job"),
-            )
-            meta.submit(job)
-            submitted.append(job)
-
-    sim.process(feeder(sim), name="feeder")
+    arrivals = _arrivals(sim, streams.stream("workload"), total_cores, days, load)
+    feed(sim, meta.submit, arrivals)
     sim.run(until=days * DAY)
     waits = [
-        j.wait_time / MINUTE for j in submitted if j.start_time is not None
+        j.wait_time / MINUTE for _when, j in arrivals if j.start_time is not None
     ]
     return {
         "mean_wait_min": float(np.mean(waits)) if waits else float("nan"),
         "p90_wait_min": float(np.percentile(waits, 90)) if waits else float("nan"),
         "n_started": len(waits),
-        "n_submitted": len(submitted),
+        "n_submitted": len(arrivals),
     }
 
 

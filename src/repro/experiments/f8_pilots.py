@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import repro.infra as infra
 from repro.core import AttributeClassifier
-from repro.core.modalities import Modality
 from repro.core.report import ascii_table
 from repro.experiments.base import ExperimentOutput, register
-from repro.experiments.f3_wait_times import _feeder, single_site_workload
 from repro.infra.job import AttributeKeys, Job
 from repro.infra.pilot import PilotTask
 from repro.infra.units import DAY, HOUR
 from repro.sim import AllOf, RandomStreams, Simulator
+from repro.workloads.replay import feed, single_site_workload
 
 __all__ = ["run"]
 
@@ -67,14 +66,25 @@ def _make_site(sim, seed, days, load, max_eligible_per_user=4):
     )
     rng = RandomStreams(seed).stream("f8-background")
     arrivals = single_site_workload(sim, rng, cluster, days, load=load)
-    sim.process(_feeder(sim, site.scheduler, arrivals), name="background")
+    feed(sim, site.scheduler.submit, arrivals)
     return site, central
 
 
-def _classify_user(central) -> Modality:
+def _seen_by_accounting(site, central, outcome) -> dict:
+    """Add the ensemble user's records and measured modality to ``outcome``.
+
+    The modality reads ``-`` when the user left no record: the ensemble
+    starts on day 2, and a pilot leaves its one record when it ends.
+    """
+    site.feed.drain()
     records = central.records_of_user(ENSEMBLE_USER)
-    classification = AttributeClassifier().classify(records)
-    return classification.identity_primary[ENSEMBLE_USER]
+    outcome["records_seen"] = len(records)
+    outcome["measured_modality"] = (
+        AttributeClassifier().classify(records).identity_primary[ENSEMBLE_USER].value
+        if records
+        else "-"
+    )
+    return outcome
 
 
 def _direct_arm(seed, days, load, width, task_cores, task_runtime):
@@ -108,10 +118,7 @@ def _direct_arm(seed, days, load, width, task_cores, task_runtime):
 
     sim.process(starter(sim), name="driver")
     sim.run(until=days * DAY)
-    site.feed.drain()
-    outcome["records_seen"] = len(central.records_of_user(ENSEMBLE_USER))
-    outcome["measured_modality"] = _classify_user(central).value
-    return outcome
+    return _seen_by_accounting(site, central, outcome)
 
 
 def _pilot_arm(seed, days, load, width, task_cores, task_runtime, tagged):
@@ -155,10 +162,7 @@ def _pilot_arm(seed, days, load, width, task_cores, task_runtime, tagged):
 
     sim.process(starter(sim), name="driver")
     sim.run(until=days * DAY)
-    site.feed.drain()
-    outcome["records_seen"] = len(central.records_of_user(ENSEMBLE_USER))
-    outcome["measured_modality"] = _classify_user(central).value
-    return outcome
+    return _seen_by_accounting(site, central, outcome)
 
 
 @register("F8")

@@ -157,7 +157,6 @@ def sample_job(
     job_id: int,
     max_cores_cap: Optional[int] = None,
     attributes: Optional[dict] = None,
-    priority: float = 0.0,
 ) -> Job:
     """Draw one job from a profile (cores, runtime, walltime, failure)."""
     cores_cap = profile.max_cores
@@ -194,7 +193,6 @@ def sample_job(
         true_runtime=runtime,
         job_id=job_id,
         will_fail=will_fail,
-        priority=priority,
         attributes=dict(attributes or {}),
         true_modality=profile.modality.value,
         true_user=user.user_id,
@@ -581,7 +579,6 @@ def viz_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
             ctx.sim.next_id("job"),
             max_cores_cap=site.cluster.total_cores,
             attributes={AttributeKeys.INTERACTIVE: True},
-            priority=100.0,  # interactive queues boost priority
         )
         if ctx.recovery is not None:
             # An attended session cannot be queued behind an outage: if the

@@ -1,39 +1,107 @@
-"""Trace replay: drive a scheduler from recorded workloads.
+"""Single-site studies: feed timed arrivals to one machine and measure it.
 
-The complement of :mod:`repro.workloads.swf`: reconstruct jobs from usage
-records (simulated or parsed from an archived SWF trace) and re-submit them
-against any scheduler policy.  This is how policy studies are run on *real*
-workloads — e.g. replaying a Parallel Workloads Archive trace under both
-FCFS and EASY instead of trusting the synthetic generator.
+:func:`feed` submits arrivals at their times; :func:`replay` feeds one
+scheduler, runs it to a horizon and counts the node-seconds it delivered.
+Arrivals are synthetic (:func:`single_site_workload`) or rebuilt from usage
+records (:func:`arrivals_from_records`), simulated or parsed from an SWF
+trace (:mod:`repro.workloads.swf`).  A rebuilt job runs for its record's
+elapsed time, requests its record's walltime and takes its queue's priority
+boost; a job that never ran is skipped, since its runtime is unknown.
 
-Replayed runtimes are the recorded elapsed times; walltimes are the recorded
-requests; jobs that never ran in the source trace (cancelled while pending)
-are skipped, since their runtimes are unknown.
+Replayed through the site's policy on the site's machine, a campaign site's
+records start every job the site started before its *cut-off* at the
+identical float time.  The cut-off is the earlier of the first submission
+of a job that left no record (still queued or running at the horizon) and
+the first co-allocated record (the co-allocator's reservation and start
+hold are not recorded).  ``test_campaign_records_replay_exactly`` in
+``tests/workloads/test_replay.py`` checks this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from repro.infra.accounting import UsageRecord
+from repro.infra.cluster import Cluster
 from repro.infra.job import Job, JobState
+from repro.infra.queues import QueueSet
 from repro.infra.scheduler.base import BatchScheduler
+from repro.infra.units import DAY, HOUR, MINUTE
 from repro.sim import Simulator
+from repro.sim.distributions import bounded_lognormal, log2_cores
 
-__all__ = ["ReplayResult", "arrivals_from_records", "replay"]
+__all__ = [
+    "ReplayResult",
+    "arrivals_from_records",
+    "feed",
+    "replay",
+    "single_site_workload",
+]
+
+
+def single_site_workload(
+    sim: Simulator,
+    rng,
+    cluster: Cluster,
+    days: float,
+    load: float = 0.85,
+    walltime_pad: tuple[float, float] = (1.1, 3.0),
+    runtime_median: float = 2 * HOUR,
+) -> list[tuple[float, Job]]:
+    """A mixed batch workload offering ``load`` of the machine's capacity.
+
+    Returns ``(submit_time, job)`` pairs for ``sim`` to run: Poisson
+    arrivals of jobs whose mean demand (cores x runtime) matches the target
+    offered load.
+    ``walltime_pad`` bounds the users' over-request factor (larger pads make
+    backfill planning more conservative).
+    """
+    jobs = []
+    mean_runtime = 1.5 * runtime_median  # rough lognormal mean at sigma=1
+    mean_cores = 2 ** 4.0 * np.exp(0.5 * (1.5 * np.log(2)) ** 2)  # lognormal mean
+    mean_demand = mean_cores * mean_runtime
+    rate = load * cluster.total_cores / mean_demand  # arrivals per second
+    t = 0.0
+    horizon = days * DAY
+    while True:
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            break
+        cores = log2_cores(rng, 1, cluster.total_cores, 4.0, 1.5)
+        runtime = bounded_lognormal(
+            rng, runtime_median, 1.0, 5 * MINUTE, 24 * HOUR
+        )
+        jobs.append(
+            (
+                t,
+                Job(
+                    user=f"u{int(rng.integers(40))}",
+                    account="acct",
+                    cores=cores,
+                    walltime=runtime * float(rng.uniform(*walltime_pad)),
+                    true_runtime=runtime,
+                    job_id=sim.next_id("job"),
+                ),
+            )
+        )
+    return jobs
 
 
 def arrivals_from_records(
     records: Iterable[UsageRecord],
+    queues: QueueSet,
     max_cores: Optional[int] = None,
 ) -> list[tuple[float, Job]]:
     """Rebuild ``(submit_time, job)`` pairs from usage records.
 
+    Each job keeps its record's ``job_id`` and takes the priority boost of
+    the record's queue in ``queues``, as the site gave it at submission.
     ``max_cores`` clips jobs to a smaller replay machine (a standard trick
     when replaying a big machine's trace on a scaled-down model); jobs are
-    clipped, not dropped, to preserve the arrival process.  Each job keeps
-    its record's ``job_id``.
+    clipped, not dropped, to preserve the arrival process.
     """
     arrivals: list[tuple[float, Job]] = []
     for record in sorted(records, key=lambda r: (r.submit_time, r.job_id)):
@@ -53,6 +121,7 @@ def arrivals_from_records(
                     true_runtime=runtime,
                     job_id=record.job_id,
                     will_fail=record.final_state is JobState.FAILED,
+                    priority=queues.get(record.queue_name).priority_boost,
                     attributes=dict(record.attributes),
                 ),
             )
@@ -60,14 +129,39 @@ def arrivals_from_records(
     return arrivals
 
 
+def feed(
+    sim: Simulator,
+    submit: Callable[[Job], object],
+    arrivals: list[tuple[float, Job]],
+) -> None:
+    """Call ``submit(job)`` at each arrival's time, in stable time order.
+
+    One process, named ``feeder``, does the submitting; ``submit`` may be a
+    scheduler's, a site's or a metascheduler's.
+    """
+
+    def feeder(sim):
+        clock = sim.now
+        for when, job in sorted(arrivals, key=lambda pair: pair[0]):
+            if when > clock:
+                yield sim.timeout(when - clock)
+                clock = when
+            submit(job)
+
+    sim.process(feeder(sim), name="feeder")
+
+
 @dataclass
 class ReplayResult:
     """Outcome of one replay run."""
 
-    jobs: list[Job] = field(default_factory=list)
-    horizon: float = 0.0
-    delivered_node_seconds: float = 0.0
-    total_nodes: int = 0
+    #: every arrival's job, in the order given
+    jobs: list[Job]
+    #: the jobs that started and ended by the horizon, in completion order
+    finished: list[Job]
+    horizon: float
+    delivered_node_seconds: float
+    total_nodes: int
 
     @property
     def utilization(self) -> float:
@@ -90,36 +184,26 @@ def replay(
     arrivals: list[tuple[float, Job]],
     horizon: Optional[float] = None,
 ) -> ReplayResult:
-    """Submit ``arrivals`` at their recorded times and run to ``horizon``.
+    """Feed ``arrivals`` to ``scheduler``, run to ``horizon`` and measure.
 
     With ``horizon=None`` the run extends a week past the last arrival so
-    the queue can drain.
+    the queue can drain; that needs at least one arrival.
     """
-    if not arrivals:
-        raise ValueError("nothing to replay")
-    last_arrival = max(when for when, _job in arrivals)
-    end = horizon if horizon is not None else last_arrival + 7 * 86400.0
-
-    def feeder(sim):
-        clock = sim.now
-        for when, job in sorted(arrivals, key=lambda p: p[0]):
-            if when > clock:
-                yield sim.timeout(when - clock)
-                clock = when
-            scheduler.submit(job)
-
-    sim.process(feeder(sim), name="replay-feeder")
-    sim.run(until=end)
-    jobs = [job for _when, job in arrivals]
-    delivered = sum(
-        scheduler.cluster.nodes_for(j.cores)
-        * (min(j.end_time, end) - j.start_time)
-        for j in jobs
-        if j.start_time is not None and j.end_time is not None
-    )
+    if horizon is None:
+        if not arrivals:
+            raise ValueError("nothing to replay: no arrivals and no horizon")
+        horizon = max(when for when, _job in arrivals) + 7 * DAY
+    feed(sim, scheduler.submit, arrivals)
+    sim.run(until=horizon)
+    cluster = scheduler.cluster
+    finished = [job for job in scheduler.completed if job.start_time is not None]
     return ReplayResult(
-        jobs=jobs,
-        horizon=end,
-        delivered_node_seconds=delivered,
-        total_nodes=scheduler.cluster.nodes,
+        jobs=[job for _when, job in arrivals],
+        finished=finished,
+        horizon=horizon,
+        delivered_node_seconds=sum(
+            cluster.nodes_for(job.cores) * (job.end_time - job.start_time)
+            for job in finished
+        ),
+        total_nodes=cluster.nodes,
     )

@@ -187,6 +187,15 @@ def test_f8_measurement_flip():
     assert output.data["pilot_tagged"]["measured_modality"] == "ensemble"
 
 
+def test_f8_horizon_before_the_ensemble_starts():
+    """The ensemble starts on day 2: over one day no arm leaves a record,
+    and each reads 0 records and no measured modality."""
+    output = run_experiment("F8", days=1.0)
+    for arm in ("direct", "pilot_untagged", "pilot_tagged"):
+        assert output.data[arm]["records_seen"] == 0
+        assert output.data[arm]["measured_modality"] == "-"
+
+
 def test_f9_structure(fast_knobs):
     output = run_experiment("F9", **fast_knobs)
     for modality in ("batch", "ensemble", "coupled"):

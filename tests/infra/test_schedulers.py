@@ -187,6 +187,41 @@ def test_not_before_holds_job():
     assert j.start_time == 500.0
 
 
+def test_superseded_head_wakeup_runs_no_pass():
+    """A head held to t=100 arms a wake-up then; a more urgent job held to
+    t=50 takes the head and arms an earlier one, and once it starts the
+    first head arms t=100 afresh.  The superseded t=100 wake-up must not
+    run a pass of its own: one pass at t=100 starts the held job."""
+    passes = []
+
+    class Recording(EasyBackfillScheduler):
+        def _schedule_pass(self):
+            passes.append(self.sim.now)
+            super()._schedule_pass()
+
+    sim = Simulator()
+    sched = Recording(sim, Cluster("mach", nodes=4, cores_per_node=1))
+    held = sched.submit(job(1, walltime=10.0, not_before=100.0))
+    urgent = submit_at(
+        sim, sched, 5.0, job(1, walltime=10.0, not_before=50.0, priority=1.0)
+    )
+    sim.run()
+    assert (urgent.start_time, held.start_time) == (50.0, 100.0)
+    assert passes.count(100.0) == 1
+
+
+def test_reservations_leave_the_scheduler_at_their_end():
+    """A reservation added inside its window and one added ahead of it are
+    each dropped when they end, so passes never scan expired windows."""
+    sim, sched = make_rig(EasyBackfillScheduler, nodes=2)
+    sched.add_reservation(Reservation(start=0.0, end=10.0, nodes=1))
+    sched.add_reservation(Reservation(start=20.0, end=30.0, nodes=2))
+    sim.run(until=25.0)
+    assert [reservation.start for reservation in sched.reservations] == [20.0]
+    sim.run()
+    assert sched.reservations == []
+
+
 # ---------------------------------------------------------------- FCFS vs EASY
 
 

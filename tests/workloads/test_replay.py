@@ -1,9 +1,10 @@
-"""Tests for trace replay."""
+"""Tests for feeding and measuring one machine, and for trace replay."""
 
 import pytest
 
 from repro.infra.cluster import Cluster
-from repro.infra.job import JobState
+from repro.infra.job import AttributeKeys, Job, JobState
+from repro.infra.queues import default_queues
 from repro.infra.scheduler import EasyBackfillScheduler, FcfsScheduler
 from repro.infra.units import DAY, HOUR
 from repro.sim import Simulator
@@ -13,6 +14,11 @@ from repro.workloads import (
     replay,
     run_scenario,
 )
+from repro.workloads.replay import feed
+from repro.workloads.synthetic import CampaignKey
+
+#: the boosts of every site's queue set; only the queue names matter here
+QUEUES = default_queues(Cluster("replay", nodes=64, cores_per_node=16))
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +28,7 @@ def source_records():
 
 
 def test_arrivals_reconstruct_started_jobs(source_records):
-    arrivals = arrivals_from_records(source_records)
+    arrivals = arrivals_from_records(source_records, QUEUES)
     started = [r for r in source_records if r.ran]
     assert len(arrivals) == len(started)
     times = [when for when, _ in arrivals]
@@ -30,12 +36,13 @@ def test_arrivals_reconstruct_started_jobs(source_records):
     for (when, job), record in zip(arrivals, sorted(
             started, key=lambda r: (r.submit_time, r.job_id))):
         assert when == record.submit_time
-        assert job.cores <= record.cores or job.cores == record.cores
+        assert job.cores == record.cores
         assert job.true_runtime == pytest.approx(max(record.elapsed, 1.0))
+        assert job.priority == QUEUES.get(record.queue_name).priority_boost
 
 
 def test_arrivals_core_clipping(source_records):
-    arrivals = arrivals_from_records(source_records, max_cores=8)
+    arrivals = arrivals_from_records(source_records, QUEUES, max_cores=8)
     assert all(job.cores <= 8 for _when, job in arrivals)
 
 
@@ -44,7 +51,7 @@ def test_replay_runs_all_jobs(source_records):
     cluster = Cluster("replay", nodes=64, cores_per_node=16)
     scheduler = EasyBackfillScheduler(sim, cluster)
     arrivals = arrivals_from_records(
-        source_records, max_cores=cluster.total_cores
+        source_records, default_queues(cluster), max_cores=cluster.total_cores
     )
     result = replay(sim, scheduler, arrivals)
     assert len(result.jobs) == len(arrivals)
@@ -55,8 +62,8 @@ def test_replay_runs_all_jobs(source_records):
 
 
 def test_replay_policies_comparable_on_same_trace(source_records):
-    arrivals_a = arrivals_from_records(source_records, max_cores=256)
-    arrivals_b = arrivals_from_records(source_records, max_cores=256)
+    arrivals_a = arrivals_from_records(source_records, QUEUES, max_cores=256)
+    arrivals_b = arrivals_from_records(source_records, QUEUES, max_cores=256)
 
     def run_policy(policy, arrivals):
         sim = Simulator()
@@ -76,3 +83,90 @@ def test_replay_empty_rejected():
     scheduler = FcfsScheduler(sim, cluster)
     with pytest.raises(ValueError):
         replay(sim, scheduler, [])
+
+
+def _job(job_id, cores=1, runtime=10.0):
+    return Job(user="u", account="acct", cores=cores, walltime=2 * runtime,
+               true_runtime=runtime, job_id=job_id)
+
+
+def test_replay_empty_with_horizon_measures_an_idle_machine():
+    """An empty arrival list needs no horizon to be inferred when one is given."""
+    sim = Simulator()
+    scheduler = FcfsScheduler(sim, Cluster("replay", nodes=4, cores_per_node=4))
+    result = replay(sim, scheduler, [], horizon=HOUR)
+    assert sim.now == HOUR
+    assert result.finished == []
+    assert result.utilization == 0.0
+
+
+def test_feed_submits_in_stable_time_order():
+    sim = Simulator()
+    first, second, third, fourth = (_job(i) for i in range(1, 5))
+    submitted = []
+    feed(sim, lambda job: submitted.append((sim.now, job)),
+         [(20.0, first), (10.0, second), (20.0, third), (0.0, fourth)])
+    sim.run()
+    assert submitted == [(0.0, fourth), (10.0, second), (20.0, first), (20.0, third)]
+
+
+def test_finished_jobs_are_the_ones_that_ended_by_the_horizon():
+    """Delivered node-seconds count whole nodes of the jobs that started and
+    ended by the horizon; a job still running then counts for nothing."""
+    sim = Simulator()
+    cluster = Cluster("replay", nodes=4, cores_per_node=4)
+    wide, long, short = _job(1, cores=5, runtime=50.0), _job(2, runtime=500.0), _job(3)
+    result = replay(sim, FcfsScheduler(sim, cluster),
+                    [(10.0, wide), (0.0, long), (30.0, short)], horizon=200.0)
+    assert result.jobs == [wide, long, short]
+    assert result.finished == [short, wide]  # completion order
+    assert result.delivered_node_seconds == 2 * 50.0 + 1 * 10.0
+    assert result.utilization == 110.0 / (4 * 200.0)
+
+
+#: jobs each site started before its cut-off, per 15-day campaign seed
+EXACT_STARTS = {
+    1: {"ranger": 3622, "abe": 1874, "lonestar": 368},
+    2: {"ranger": 1604, "abe": 776, "lonestar": 269},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_STARTS))
+def test_campaign_records_replay_exactly(seed):
+    """Each site's records of a 15-day campaign, replayed through EASY on the
+    site's machine, start every job the site started before its cut-off at
+    the identical time, and at the live job's priority.
+
+    The cut-off is the earliest submission the records cannot reproduce: a
+    job still queued or running at the horizon, which left no record, or a
+    co-allocated job, whose reservation and start hold no record carries.
+    Unrecorded jobs set seed 1's cut-offs; a co-allocation sets seed 2's.
+    """
+    result = run_scenario(CampaignKey.make(days=15, seed=seed).config())
+    checked = {}
+    for provider in result.providers:
+        scheduler = provider.scheduler
+        records = [r for r in result.records if r.resource == provider.name]
+        unrecorded = [job.submit_time for job in scheduler.queue] + [
+            entry.job.submit_time for entry in scheduler.running.values()
+        ]
+        coallocated = [
+            r.submit_time for r in records
+            if AttributeKeys.COALLOCATION_ID in r.attributes
+        ]
+        cutoff = min(unrecorded + coallocated)
+        sim = Simulator()
+        arrivals = arrivals_from_records(records, default_queues(provider.cluster))
+        replay(sim, EasyBackfillScheduler(sim, provider.cluster), arrivals,
+               horizon=result.config.horizon)
+        live = {job.job_id: job for job in scheduler.completed}
+        early = [job for _when, job in arrivals
+                 if live[job.job_id].start_time < cutoff]
+        assert [job.start_time for job in early] == [
+            live[job.job_id].start_time for job in early
+        ], provider.name
+        assert [job.priority for _when, job in arrivals] == [
+            live[job.job_id].priority for _when, job in arrivals
+        ], provider.name
+        checked[provider.name] = len(early)
+    assert checked == EXACT_STARTS[seed]
