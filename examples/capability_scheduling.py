@@ -16,12 +16,11 @@ Run:  python examples/capability_scheduling.py
 import numpy as np
 
 from repro.core.report import ascii_table
-from repro.experiments.f4_capability import _hero_arrivals
 from repro.infra.cluster import Cluster
 from repro.infra.scheduler import EasyBackfillScheduler, WeeklyDrainScheduler
 from repro.infra.units import DAY, HOUR, WEEK
 from repro.sim import RandomStreams, Simulator
-from repro.workloads.replay import replay, single_site_workload
+from repro.workloads.replay import hero_arrivals, replay, single_site_workload
 
 
 def run_policy(label, factory, days=28.0, load=0.65, heroes_per_week=4):
@@ -33,7 +32,7 @@ def run_policy(label, factory, days=28.0, load=0.65, heroes_per_week=4):
         sim, streams.stream("bg"), cluster, days, load=load,
         walltime_pad=(2.0, 5.0), runtime_median=4 * HOUR,
     )
-    heroes = _hero_arrivals(
+    heroes = hero_arrivals(
         sim, streams.stream("heroes"), cluster, days, per_week=heroes_per_week
     )
     result = replay(sim, scheduler, background + heroes, horizon=days * DAY)

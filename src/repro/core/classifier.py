@@ -17,14 +17,15 @@ Two classifiers implement the paper's before/after story:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from repro.core.modalities import MODALITY_ORDER, Modality
 from repro.core.records import (
     IdentityView,
+    RecordFeatures,
     build_identity_views,
     burst_membership,
-    strip_attributes,
 )
 from repro.infra.accounting import UsageRecord
 from repro.infra.job import AttributeKeys
@@ -36,6 +37,9 @@ __all__ = [
     "AttributeClassifier",
     "HeuristicClassifier",
 ]
+
+#: Start order: start time, ties broken by job id.
+_START_ORDER = attrgetter("start_time", "job_id")
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,10 @@ class Classification:
         return labeled, total
 
 
-def _split_residual(view: IdentityView, residual: list[UsageRecord],
-                    config: ClassifierConfig) -> Modality:
+def _split_residual(
+    residual: list[UsageRecord], config: ClassifierConfig
+) -> Modality:
     """Batch vs exploratory for an identity's unlabelled jobs."""
-    from repro.core.records import RecordFeatures
-
     features = RecordFeatures.from_records(
         residual, burst_window=config.burst_window,
         burst_min_size=config.burst_min_size,
@@ -122,25 +125,33 @@ def _split_residual(view: IdentityView, residual: list[UsageRecord],
     return Modality.BATCH
 
 
-def _pick_primary(
-    view: IdentityView, labels: dict[int, Modality]
-) -> Modality:
-    """Primary modality: most jobs, then most NU, then taxonomy order."""
-    per_modality_jobs: dict[Modality, int] = {}
-    per_modality_nu: dict[Modality, float] = {}
-    for record in view.records:
-        modality = labels[record.job_id]
-        per_modality_jobs[modality] = per_modality_jobs.get(modality, 0) + 1
-        per_modality_nu[modality] = (
-            per_modality_nu.get(modality, 0.0) + record.charged_nu
-        )
-    return max(
-        per_modality_jobs,
-        key=lambda m: (
-            per_modality_jobs[m],
-            per_modality_nu[m],
-            -MODALITY_ORDER.index(m),
-        ),
+def _settle(
+    view: IdentityView,
+    labels: list[Optional[Modality]],
+    config: ClassifierConfig,
+    result: Classification,
+) -> None:
+    """Enter one identity's job labels, modality set and primary modality.
+
+    ``labels`` aligns with ``view.records``; None marks a residual job, and
+    the residual jobs all take batch or exploratory from their features.
+    The primary modality has the most jobs, then the most NU, then comes
+    first in taxonomy order.
+    """
+    residual = [r for r, label in zip(view.records, labels) if label is None]
+    residual_label = _split_residual(residual, config) if residual else None
+    job_labels = result.job_labels
+    jobs: dict[Modality, int] = {}
+    nu: dict[Modality, float] = {}
+    for record, label in zip(view.records, labels):
+        if label is None:
+            label = residual_label
+        job_labels[record.job_id] = label
+        jobs[label] = jobs.get(label, 0) + 1
+        nu[label] = nu.get(label, 0.0) + record.charged_nu
+    result.identity_modalities[view.identity] = set(jobs)
+    result.identity_primary[view.identity] = max(
+        jobs, key=lambda m: (jobs[m], nu[m], -MODALITY_ORDER.index(m))
     )
 
 
@@ -165,30 +176,11 @@ class AttributeClassifier:
 
     def classify(self, records: Iterable[UsageRecord]) -> Classification:
         views = build_identity_views(records, use_attributes=True)
-        job_labels: dict[int, Modality] = {}
-        identity_modalities: dict[str, set[Modality]] = {}
-        identity_primary: dict[str, Modality] = {}
-        for identity, view in views.items():
-            residual: list[UsageRecord] = []
-            for record in view.records:
-                label = self.label_job(record)
-                if label is None:
-                    residual.append(record)
-                else:
-                    job_labels[record.job_id] = label
-            if residual:
-                residual_label = _split_residual(view, residual, self.config)
-                for record in residual:
-                    job_labels[record.job_id] = residual_label
-            modalities = {job_labels[r.job_id] for r in view.records}
-            identity_modalities[identity] = modalities
-            identity_primary[identity] = _pick_primary(view, job_labels)
-        return Classification(
-            job_labels=job_labels,
-            identity_modalities=identity_modalities,
-            identity_primary=identity_primary,
-            views=views,
-        )
+        result = Classification(job_labels={}, views=views)
+        for view in views.values():
+            labels = [self.label_job(record) for record in view.records]
+            _settle(view, labels, self.config, result)
+        return result
 
 
 class HeuristicClassifier:
@@ -209,44 +201,32 @@ class HeuristicClassifier:
         self.known_community_accounts = known_community_accounts or set()
 
     def classify(self, records: Iterable[UsageRecord]) -> Classification:
-        bare = strip_attributes(records)
-        views = build_identity_views(bare, use_attributes=False)
+        # Reads no attribute, so it classifies the records as given.
+        views = build_identity_views(records, use_attributes=False)
         config = self.config
-        job_labels: dict[int, Modality] = {}
-        identity_modalities: dict[str, set[Modality]] = {}
-        identity_primary: dict[str, Modality] = {}
-        for identity, view in views.items():
+        community = self.known_community_accounts
+        result = Classification(job_labels={}, views=views)
+        for view in views.values():
             ordered = view.records  # already in submission order
             coupled_ids = self._detect_coupled(ordered)
             bursts = burst_membership(
                 ordered, config.burst_window, config.burst_min_size
             )
-            residual: list[UsageRecord] = []
+            labels: list[Optional[Modality]] = []
             for record, in_burst in zip(ordered, bursts):
                 if record.job_id in coupled_ids:
-                    job_labels[record.job_id] = Modality.COUPLED
+                    label = Modality.COUPLED
                 elif record.queue_name == "interactive":
-                    job_labels[record.job_id] = Modality.VIZ
-                elif record.account in self.known_community_accounts:
-                    job_labels[record.job_id] = Modality.GATEWAY
+                    label = Modality.VIZ
+                elif record.account in community:
+                    label = Modality.GATEWAY
                 elif in_burst:
-                    job_labels[record.job_id] = Modality.ENSEMBLE
+                    label = Modality.ENSEMBLE
                 else:
-                    residual.append(record)
-            if residual:
-                residual_label = _split_residual(view, residual, config)
-                for record in residual:
-                    job_labels[record.job_id] = residual_label
-            identity_modalities[identity] = {
-                job_labels[r.job_id] for r in ordered
-            }
-            identity_primary[identity] = _pick_primary(view, job_labels)
-        return Classification(
-            job_labels=job_labels,
-            identity_modalities=identity_modalities,
-            identity_primary=identity_primary,
-            views=views,
-        )
+                    label = None
+                labels.append(label)
+            _settle(view, labels, config, result)
+        return result
 
     def _detect_coupled(self, ordered: list[UsageRecord]) -> set[int]:
         """Job ids whose starts coincide across distinct resources.
@@ -255,23 +235,21 @@ class HeuristicClassifier:
         jobs starting within ``coupled_start_epsilon`` of each other on
         different machines with the same requested walltime.
         """
-        started = [r for r in ordered if r.ran]
-        started.sort(key=lambda r: (r.start_time, r.job_id))
+        started = [r for r in ordered if r.start_time is not None]
+        started.sort(key=_START_ORDER)
         coupled: set[int] = set()
         epsilon = self.config.coupled_start_epsilon
         i = 0
         while i < len(started):
-            group = [started[i]]
+            first = started[i]
             j = i + 1
             while (
                 j < len(started)
-                and started[j].start_time - started[i].start_time <= epsilon
-                and started[j].requested_walltime
-                == started[i].requested_walltime
+                and started[j].start_time - first.start_time <= epsilon
+                and started[j].requested_walltime == first.requested_walltime
             ):
-                group.append(started[j])
                 j += 1
-            if len({r.resource for r in group}) >= 2:
-                coupled.update(r.job_id for r in group)
-            i = j if j > i + 1 else i + 1
+            if j - i >= 2 and len({r.resource for r in started[i:j]}) >= 2:
+                coupled.update(r.job_id for r in started[i:j])
+            i = j
         return coupled

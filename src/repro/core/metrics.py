@@ -85,35 +85,44 @@ def compute_metrics(
     """Fold classified records into the per-modality aggregates.
 
     ``records`` must be the same set the classification was computed over
-    (every record's job id needs a label).
+    (every record's job id needs a label).  Sums run in record order.
     """
-    metrics = ModalityMetrics(
-        users={m: 0 for m in MODALITY_ORDER},
-        jobs={m: 0 for m in MODALITY_ORDER},
-        nu={m: 0.0 for m in MODALITY_ORDER},
-        job_sizes={m: [] for m in MODALITY_ORDER},
-        wait_times={m: [] for m in MODALITY_ORDER},
-    )
-    record_list = list(records)
-    per_identity_nu: dict[str, float] = {}
-    for record in record_list:
+    labels = classification.job_labels
+    jobs = {m: 0 for m in MODALITY_ORDER}
+    nu = {m: 0.0 for m in MODALITY_ORDER}
+    job_sizes: dict[Modality, list[int]] = {m: [] for m in MODALITY_ORDER}
+    wait_times: dict[Modality, list[float]] = {m: [] for m in MODALITY_ORDER}
+    by_site_nu: dict[str, dict[Modality, float]] = {}
+    for record in records:
         try:
-            modality = classification.job_labels[record.job_id]
+            modality = labels[record.job_id]
         except KeyError:
             raise ValueError(
                 f"record for job {record.job_id} has no classification label"
             ) from None
-        metrics.jobs[modality] += 1
-        metrics.nu[modality] += record.charged_nu
-        metrics.job_sizes[modality].append(record.cores)
-        if record.wait_time is not None:
-            metrics.wait_times[modality].append(record.wait_time)
-        site = metrics.by_site_nu.setdefault(record.resource, {})
+        jobs[modality] += 1
+        nu[modality] += record.charged_nu
+        job_sizes[modality].append(record.cores)
+        if record.start_time is not None:
+            wait_times[modality].append(record.start_time - record.submit_time)
+        site = by_site_nu.get(record.resource)
+        if site is None:
+            site = by_site_nu[record.resource] = {}
         site[modality] = site.get(modality, 0.0) + record.charged_nu
+    users = {m: 0 for m in MODALITY_ORDER}
     for modality in classification.identity_primary.values():
-        metrics.users[modality] += 1
-    for identity, view in classification.views.items():
-        per_identity_nu[identity] = sum(r.charged_nu for r in view.records)
-    if per_identity_nu:
-        metrics.usage_gini = gini(per_identity_nu.values())
+        users[modality] += 1
+    metrics = ModalityMetrics(
+        users=users,
+        jobs=jobs,
+        nu=nu,
+        by_site_nu=by_site_nu,
+        job_sizes=job_sizes,
+        wait_times=wait_times,
+    )
+    if classification.views:
+        metrics.usage_gini = gini(
+            sum(r.charged_nu for r in view.records)
+            for view in classification.views.values()
+        )
     return metrics

@@ -28,6 +28,12 @@ class Modality(enum.Enum):
     VIZ = "viz"
     COUPLED = "coupled"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # exact, and it runs in C: ``Enum.__hash__`` is Python code, and the
+    # measurement layer hashes a label per record.  No report depends on the
+    # iteration order of a set of modalities.
+    __hash__ = object.__hash__
+
     @property
     def label(self) -> str:
         return MODALITY_TAXONOMY[self].label

@@ -9,9 +9,8 @@ extraction* (the behavioural statistics heuristics operate on).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter, le
 from typing import Iterable
-
-import numpy as np
 
 from repro.infra.accounting import UsageRecord
 from repro.infra.job import AttributeKeys, JobState
@@ -21,8 +20,10 @@ __all__ = [
     "IdentityView",
     "RecordFeatures",
     "build_identity_views",
-    "strip_attributes",
 ]
+
+#: Submission order: submit time, ties broken by job id.
+_SUBMISSION_ORDER = attrgetter("submit_time", "job_id")
 
 
 def resolve_identity(record: UsageRecord, use_attributes: bool = True) -> str:
@@ -32,7 +33,8 @@ def resolve_identity(record: UsageRecord, use_attributes: bool = True) -> str:
     ``"<gateway>:<end user>"``; everything else (including *untagged*
     gateway jobs) resolves to the local account user.  Without
     instrumentation all gateway users collapse onto the community user —
-    the measurement gap the paper is about.
+    the measurement gap the paper is about.  ``use_attributes=False`` reads
+    no attribute.
     """
     if use_attributes:
         gateway_user = record.attributes.get(AttributeKeys.GATEWAY_USER)
@@ -42,36 +44,17 @@ def resolve_identity(record: UsageRecord, use_attributes: bool = True) -> str:
     return record.user
 
 
-def strip_attributes(records: Iterable[UsageRecord]) -> list[UsageRecord]:
-    """Copies of ``records`` with the instrumentation attributes removed.
+def _median(values: list) -> float:
+    """The median of ``values`` (sorted in place), as ``numpy.median`` gives it.
 
-    Used to evaluate what measurement can do from a *pre-instrumentation*
-    accounting stream (experiment T3): the structural fields remain, the
-    proposed job attributes disappear.
+    The middle element for an odd count, the mean ``(a + b) / 2`` of the
+    two middle ones for an even count: the same IEEE result either way.
     """
-    stripped = []
-    for record in records:
-        stripped.append(
-            UsageRecord(
-                job_id=record.job_id,
-                user=record.user,
-                account=record.account,
-                resource=record.resource,
-                queue_name=record.queue_name,
-                cores=record.cores,
-                requested_walltime=record.requested_walltime,
-                submit_time=record.submit_time,
-                start_time=record.start_time,
-                end_time=record.end_time,
-                final_state=record.final_state,
-                charged_nu=record.charged_nu,
-                attributes={},
-                # The allocation's field predates the proposed per-job
-                # attributes; pre-instrumentation accounting had it too.
-                field_of_science=record.field_of_science,
-            )
-        )
-    return stripped
+    values.sort()
+    middle = len(values) // 2
+    if len(values) % 2:
+        return float(values[middle])
+    return (values[middle - 1] + values[middle]) / 2
 
 
 @dataclass
@@ -96,24 +79,28 @@ class RecordFeatures:
         burst_window: float = 1800.0,
         burst_min_size: int = 5,
     ) -> "RecordFeatures":
+        """Features of ``records``, which must be in submission order."""
         if not records:
             raise ValueError("cannot build features from zero records")
-        elapsed = np.array([r.elapsed for r in records if r.ran], dtype=float)
-        cores = np.array([r.cores for r in records], dtype=float)
-        bad = sum(
-            1
-            for r in records
-            if r.final_state in (JobState.FAILED, JobState.KILLED_WALLTIME)
-        )
-        cancelled = sum(
-            1 for r in records if r.final_state is JobState.CANCELLED
-        )
-        interactive = sum(1 for r in records if r.queue_name == "interactive")
+        elapsed: list[float] = []
+        cores: list[int] = []
+        bad = cancelled = interactive = 0
+        for record in records:
+            if record.start_time is not None:
+                elapsed.append(record.end_time - record.start_time)
+            cores.append(record.cores)
+            state = record.final_state
+            if state is JobState.FAILED or state is JobState.KILLED_WALLTIME:
+                bad += 1
+            elif state is JobState.CANCELLED:
+                cancelled += 1
+            if record.queue_name == "interactive":
+                interactive += 1
         return cls(
             n_jobs=len(records),
-            median_elapsed=float(np.median(elapsed)) if elapsed.size else 0.0,
-            median_cores=float(np.median(cores)),
-            max_cores=int(cores.max()),
+            median_elapsed=_median(elapsed) if elapsed else 0.0,
+            median_cores=_median(cores),
+            max_cores=max(cores),
             failure_fraction=bad / len(records),
             cancelled_fraction=cancelled / len(records),
             interactive_fraction=interactive / len(records),
@@ -131,20 +118,21 @@ def burst_membership(
     The submission-burst signature of ensembles/parameter sweeps: runs of at
     least ``min_size`` jobs with identical core counts whose consecutive
     submissions are less than ``window`` apart.  Input order must be
-    submission order; the returned flags align with it.
+    submission order (submit time, ties broken by job id); the returned
+    flags align with it.
     """
-    ordered = sorted(records, key=lambda r: (r.submit_time, r.job_id))
-    if ordered != records:
+    keys = list(map(_SUBMISSION_ORDER, records))
+    if not all(map(le, keys, keys[1:])):
         raise ValueError("records must be given in submission order")
-    in_burst = [False] * len(ordered)
-    if len(ordered) < min_size:
+    in_burst = [False] * len(records)
+    if len(records) < min_size:
         return in_burst
     run_start = 0
-    for i in range(1, len(ordered) + 1):
+    for i in range(1, len(records) + 1):
         boundary = (
-            i == len(ordered)
-            or ordered[i].cores != ordered[i - 1].cores
-            or ordered[i].submit_time - ordered[i - 1].submit_time > window
+            i == len(records)
+            or records[i].cores != records[i - 1].cores
+            or records[i].submit_time - records[i - 1].submit_time > window
         )
         if boundary:
             if i - run_start >= min_size:
@@ -157,8 +145,7 @@ def burst_membership(
 def _burst_fraction(
     records: list[UsageRecord], window: float, min_size: int
 ) -> float:
-    ordered = sorted(records, key=lambda r: (r.submit_time, r.job_id))
-    flags = burst_membership(ordered, window, min_size)
+    flags = burst_membership(records, window, min_size)
     return sum(flags) / len(flags) if flags else 0.0
 
 
@@ -175,12 +162,16 @@ def build_identity_views(
 ) -> dict[str, IdentityView]:
     """Group records by resolved identity, each group in submission order.
 
-    Identities appear in the order of their first record.
+    Identities appear in the order of their first record.  The records are
+    the given ones, not copies; ``use_attributes=False`` reads no attribute.
     """
     views: dict[str, IdentityView] = {}
     for record in records:
         identity = resolve_identity(record, use_attributes=use_attributes)
-        views.setdefault(identity, IdentityView(identity)).records.append(record)
+        view = views.get(identity)
+        if view is None:
+            view = views[identity] = IdentityView(identity)
+        view.records.append(record)
     for view in views.values():
-        view.records.sort(key=lambda r: (r.submit_time, r.job_id))
+        view.records.sort(key=_SUBMISSION_ORDER)
     return views

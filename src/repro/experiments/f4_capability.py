@@ -14,43 +14,12 @@ import numpy as np
 from repro.core.report import ascii_table
 from repro.experiments.base import ExperimentOutput, register
 from repro.infra.cluster import Cluster
-from repro.infra.job import Job
 from repro.infra.scheduler import EasyBackfillScheduler, WeeklyDrainScheduler
 from repro.infra.units import DAY, HOUR, WEEK
 from repro.sim import RandomStreams, Simulator
-from repro.workloads.replay import replay, single_site_workload
+from repro.workloads.replay import hero_arrivals, replay, single_site_workload
 
 __all__ = ["run"]
-
-
-def _hero_arrivals(sim, rng, cluster, days, per_week=2):
-    jobs = []
-    horizon = days * DAY
-    t = 0.0
-    rate = per_week / WEEK
-    while True:
-        t += rng.exponential(1.0 / rate)
-        if t >= horizon:
-            break
-        runtime = float(rng.uniform(4 * HOUR, 10 * HOUR))
-        jobs.append(
-            (
-                t,
-                Job(
-                    user="hero",
-                    account="acct",
-                    cores=cluster.total_cores,
-                    walltime=runtime * 1.2,
-                    true_runtime=runtime,
-                    job_id=sim.next_id("job"),
-                    # Capability runs are the mission: they jump the queue.
-                    # Under plain EASY each arrival therefore forces its own
-                    # opportunistic drain; the weekly policy batches them.
-                    priority=100.0,
-                ),
-            )
-        )
-    return jobs
 
 
 def _run(policy_factory, days, seed, load, per_week):
@@ -69,7 +38,7 @@ def _run(policy_factory, days, seed, load, per_week):
         walltime_pad=(2.0, 5.0),
         runtime_median=4 * HOUR,
     )
-    heroes = _hero_arrivals(
+    heroes = hero_arrivals(
         sim, streams.stream("f4-heroes"), cluster, days, per_week=per_week
     )
     result = replay(sim, scheduler, background + heroes, horizon=days * DAY)

@@ -191,10 +191,12 @@ def run(
         ("pilot (untagged)", pilot_untagged),
         ("pilot (ensemble attribute)", pilot_tagged),
     ]:
+        # An ensemble that has not finished by the horizon has no makespan.
+        makespan = outcome.get("makespan_h")
         rows.append(
             [
                 label,
-                f"{outcome.get('makespan_h', float('nan')):.1f}h",
+                "-" if makespan is None else f"{makespan:.1f}h",
                 outcome["records_seen"],
                 outcome["measured_modality"],
             ]

@@ -21,18 +21,19 @@ __all__ = ["run"]
 @reads_campaign("T6")
 def run(result: CampaignArtifact) -> ExperimentOutput:
     records = result.records
-    classification = result.classification
-
+    labels = result.classification.job_labels
     by_field: dict[str, dict] = {}
     for record in records:
         name = record.field_of_science or "(unassigned)"
-        entry = by_field.setdefault(
-            name, {"jobs": 0, "nu": 0.0, "users": set(), "gateway_nu": 0.0}
-        )
+        entry = by_field.get(name)
+        if entry is None:
+            entry = by_field[name] = {
+                "jobs": 0, "nu": 0.0, "users": set(), "gateway_nu": 0.0,
+            }
         entry["jobs"] += 1
         entry["nu"] += record.charged_nu
         entry["users"].add(record.user)
-        if classification.job_labels[record.job_id] is Modality.GATEWAY:
+        if labels[record.job_id] is Modality.GATEWAY:
             entry["gateway_nu"] += record.charged_nu
 
     total_nu = sum(e["nu"] for e in by_field.values())

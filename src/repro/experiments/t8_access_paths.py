@@ -14,7 +14,7 @@ itself a measurable fact about middleware-mediated usage.
 
 from __future__ import annotations
 
-from repro.core.modalities import MODALITY_ORDER
+from repro.core.modalities import MODALITY_ORDER, Modality
 from repro.core.report import ascii_table
 from repro.experiments.base import ExperimentOutput, reads_campaign, register
 from repro.infra.job import AttributeKeys
@@ -29,21 +29,19 @@ _PATHS = ("login", "gram", "gateway", "engine/other")
 @reads_campaign("T8")
 def run(result: CampaignArtifact) -> ExperimentOutput:
     records = result.records
-    classification = result.classification
-
-    counts: dict[str, dict[str, int]] = {
-        m.value: {p: 0 for p in _PATHS} for m in MODALITY_ORDER
+    labels = result.classification.job_labels
+    counts: dict[Modality, dict[str, int]] = {
+        m: {p: 0 for p in _PATHS} for m in MODALITY_ORDER
     }
     for record in records:
-        modality = classification.job_labels[record.job_id].value
         interface = record.attributes.get(AttributeKeys.SUBMIT_INTERFACE)
         path = interface if interface in _PATHS else "engine/other"
-        counts[modality][path] += 1
+        counts[labels[record.job_id]][path] += 1
 
     rows = []
     data = {}
     for modality in MODALITY_ORDER:
-        row_counts = counts[modality.value]
+        row_counts = counts[modality]
         total = sum(row_counts.values())
         row = [modality.value, total]
         for path in _PATHS:

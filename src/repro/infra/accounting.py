@@ -12,8 +12,7 @@ Ground-truth fields of :class:`~repro.infra.job.Job` (``true_modality``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.infra.job import Job, JobState
 from repro.infra.units import HOUR
@@ -22,10 +21,7 @@ from repro.sim import Simulator
 __all__ = ["UsageRecord", "CentralAccountingDB", "AmieFeed"]
 
 
-@dataclass(frozen=True)
-class UsageRecord:
-    """One job's worth of accounting data, as the central database sees it."""
-
+class _UsageFields(NamedTuple):
     job_id: int
     user: str  # the *local account* user (community account for gateways)
     account: str
@@ -38,9 +34,48 @@ class UsageRecord:
     end_time: float
     final_state: JobState
     charged_nu: float
-    attributes: dict[str, Any] = field(default_factory=dict)
+    attributes: dict[str, Any]
     #: the charged allocation's discipline (how TG reports sliced by science)
-    field_of_science: Optional[str] = None
+    field_of_science: Optional[str]
+
+
+class UsageRecord(_UsageFields):
+    """One job's worth of accounting data, as the central database sees it.
+
+    An immutable named tuple of the fields above: it has no ``__dict__`` and
+    pickles as its field values, so a stored campaign's records load about
+    as fast as plain tuples.  ``attributes`` defaults to a fresh empty dict
+    per record (a named-tuple default would be one dict shared by every
+    record) and ``field_of_science`` to None.  Derive a changed copy with
+    ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        job_id: int,
+        user: str,
+        account: str,
+        resource: str,
+        queue_name: str,
+        cores: int,
+        requested_walltime: float,
+        submit_time: float,
+        start_time: Optional[float],
+        end_time: float,
+        final_state: JobState,
+        charged_nu: float,
+        attributes: Optional[dict[str, Any]] = None,
+        field_of_science: Optional[str] = None,
+    ) -> "UsageRecord":
+        return tuple.__new__(cls, (
+            job_id, user, account, resource, queue_name, cores,
+            requested_walltime, submit_time, start_time, end_time,
+            final_state, charged_nu,
+            {} if attributes is None else attributes,
+            field_of_science,
+        ))
 
     @property
     def wait_time(self) -> Optional[float]:

@@ -228,8 +228,8 @@ class FaultyTransport:
         if len(records) > 1:
             records = records[: max(1, len(records) // 2)]
         if records:
-            mangled = dataclasses.replace(
-                records[0], charged_nu=records[0].charged_nu * 1.5 + 1.0
+            mangled = records[0]._replace(
+                charged_nu=records[0].charged_nu * 1.5 + 1.0
             )
             records = (mangled,) + records[1:]
         # The stale checksum (and declared count) is what the receiver catches.

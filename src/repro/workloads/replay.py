@@ -2,11 +2,12 @@
 
 :func:`feed` submits arrivals at their times; :func:`replay` feeds one
 scheduler, runs it to a horizon and counts the node-seconds it delivered.
-Arrivals are synthetic (:func:`single_site_workload`) or rebuilt from usage
-records (:func:`arrivals_from_records`), simulated or parsed from an SWF
-trace (:mod:`repro.workloads.swf`).  A rebuilt job runs for its record's
-elapsed time, requests its record's walltime and takes its queue's priority
-boost; a job that never ran is skipped, since its runtime is unknown.
+Arrivals are synthetic (:func:`single_site_workload`, :func:`hero_arrivals`)
+or rebuilt from usage records (:func:`arrivals_from_records`), simulated or
+parsed from an SWF trace (:mod:`repro.workloads.swf`).  A rebuilt job runs
+for its record's elapsed time, requests its record's walltime and takes its
+queue's priority boost; a job that never ran is skipped, since its runtime
+is unknown.
 
 Replayed through the site's policy on the site's machine, a campaign site's
 records start every job the site started before its *cut-off* at the
@@ -29,7 +30,7 @@ from repro.infra.cluster import Cluster
 from repro.infra.job import Job, JobState
 from repro.infra.queues import QueueSet
 from repro.infra.scheduler.base import BatchScheduler
-from repro.infra.units import DAY, HOUR, MINUTE
+from repro.infra.units import DAY, HOUR, MINUTE, WEEK
 from repro.sim import Simulator
 from repro.sim.distributions import bounded_lognormal, log2_cores
 
@@ -37,6 +38,7 @@ __all__ = [
     "ReplayResult",
     "arrivals_from_records",
     "feed",
+    "hero_arrivals",
     "replay",
     "single_site_workload",
 ]
@@ -84,6 +86,45 @@ def single_site_workload(
                     walltime=runtime * float(rng.uniform(*walltime_pad)),
                     true_runtime=runtime,
                     job_id=sim.next_id("job"),
+                ),
+            )
+        )
+    return jobs
+
+
+def hero_arrivals(
+    sim: Simulator, rng, cluster: Cluster, days: float, per_week: float = 2
+) -> list[tuple[float, Job]]:
+    """Full-machine "hero" runs arriving ``per_week`` times a week (Poisson).
+
+    Returns ``(submit_time, job)`` pairs: jobs of user ``hero`` asking for
+    every core of ``cluster`` for 4-10 hours (uniform), with 20% walltime
+    padding and queue-jumping priority.
+    """
+    jobs = []
+    horizon = days * DAY
+    t = 0.0
+    rate = per_week / WEEK
+    while True:
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            break
+        runtime = float(rng.uniform(4 * HOUR, 10 * HOUR))
+        jobs.append(
+            (
+                t,
+                Job(
+                    user="hero",
+                    account="acct",
+                    cores=cluster.total_cores,
+                    walltime=runtime * 1.2,
+                    true_runtime=runtime,
+                    job_id=sim.next_id("job"),
+                    # Capability runs are the mission: they jump the queue.
+                    # Under plain EASY each arrival therefore forces its own
+                    # opportunistic drain; a capability-window policy
+                    # batches them.
+                    priority=100.0,
                 ),
             )
         )

@@ -7,7 +7,6 @@ from repro.core.records import (
     build_identity_views,
     burst_membership,
     resolve_identity,
-    strip_attributes,
 )
 from repro.infra.job import AttributeKeys, JobState
 
@@ -35,15 +34,6 @@ def test_untagged_gateway_job_collapses_to_community_user(make_record):
         attributes={AttributeKeys.SUBMIT_INTERFACE: "gateway"},
     )
     assert resolve_identity(record) == "gw_nanohub"
-
-
-def test_strip_attributes_removes_all_instrumentation(make_record):
-    record = make_record(attributes={"a": 1, "b": 2})
-    (bare,) = strip_attributes([record])
-    assert bare.attributes == {}
-    assert bare.job_id == record.job_id
-    assert bare.cores == record.cores
-    assert record.attributes == {"a": 1, "b": 2}  # original untouched
 
 
 def test_features_basic_statistics(make_record):
@@ -98,6 +88,11 @@ def test_burst_membership_requires_submission_order(make_record):
     records = [make_record(submit=100.0, job_id=401), make_record(submit=0.0, job_id=400)]
     with pytest.raises(ValueError):
         burst_membership(records, window=1800.0, min_size=2)
+    # Equal submission times are in submission order by job id.
+    tied = [make_record(submit=0.0, job_id=403), make_record(submit=0.0, job_id=402)]
+    with pytest.raises(ValueError):
+        burst_membership(tied, window=1800.0, min_size=2)
+    assert burst_membership(tied[::-1], window=1800.0, min_size=2) == [True, True]
 
 
 def test_burst_fraction_in_features(make_record):
@@ -106,6 +101,8 @@ def test_burst_fraction_in_features(make_record):
     ]
     features = RecordFeatures.from_records(burst)
     assert features.burst_fraction == 1.0
+    with pytest.raises(ValueError):  # features need submission order
+        RecordFeatures.from_records(burst[::-1])
 
 
 def test_build_identity_views_groups_in_submission_order(make_record):
@@ -151,13 +148,3 @@ def test_build_identity_views_without_attributes(make_record):
     assert len(instrumented) == 5
     assert len(bare) == 1  # the collapse
 
-
-def test_strip_attributes_keeps_field_of_science(make_record):
-    import dataclasses
-
-    record = dataclasses.replace(
-        make_record(attributes={"k": "v"}), field_of_science="Chemistry"
-    )
-    (bare,) = strip_attributes([record])
-    assert bare.field_of_science == "Chemistry"
-    assert bare.attributes == {}

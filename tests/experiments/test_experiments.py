@@ -196,6 +196,16 @@ def test_f8_horizon_before_the_ensemble_starts():
         assert output.data[arm]["measured_modality"] == "-"
 
 
+def test_f8_unfinished_ensemble_reads_no_makespan():
+    """No arm's ensemble finishes within one day: its makespan reads ``-``."""
+    output = run_experiment("F8", days=1.0)
+    assert "nan" not in output.text
+    rows = [line.split() for line in output.text.splitlines()
+            if line.startswith(("direct", "pilot"))]
+    # makespan, accounting records, measured modality
+    assert [row[-3:] for row in rows] == [["-", "0", "-"]] * 3
+
+
 def test_f9_structure(fast_knobs):
     output = run_experiment("F9", **fast_knobs)
     for modality in ("batch", "ensemble", "coupled"):

@@ -49,6 +49,70 @@ def test_record_attributes_are_a_copy():
     assert record.attributes["k"] == "v"
 
 
+def test_record_from_job_holds_its_own_attribute_dict():
+    job = terminal_job(attributes={"k": "v"})
+    record = UsageRecord.from_job(job)
+    assert record.attributes == job.attributes
+    assert record.attributes is not job.attributes
+
+
+def bare_record(**changes):
+    fields = dict(
+        job_id=7, user="alice", account="acct", resource="mach",
+        queue_name="normal", cores=4, requested_walltime=3600.0,
+        submit_time=0.0, start_time=100.0, end_time=1900.0,
+        final_state=JobState.COMPLETED, charged_nu=2.0,
+    )
+    fields.update(changes)
+    return UsageRecord(**fields)
+
+
+@pytest.mark.parametrize(
+    "state", [JobState.COMPLETED, JobState.FAILED, JobState.KILLED_WALLTIME,
+              JobState.CANCELLED],
+)
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        {"start_time": None, "end_time": 0.0},
+        {"attributes": {"submit_interface": "gateway", "gateway_user": "u1"},
+         "field_of_science": "Chemistry"},
+    ],
+    ids=["empty-attributes", "never-started", "attributes"],
+)
+def test_record_pickles_as_an_equal_record(state, changes):
+    import pickle
+
+    record = bare_record(final_state=state, **changes)
+    loaded = pickle.loads(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+    assert type(loaded) is UsageRecord
+    assert loaded == record
+    for name in UsageRecord._fields:
+        assert getattr(loaded, name) == getattr(record, name), name
+    assert loaded.final_state is state
+
+
+def test_records_built_without_attributes_do_not_share_a_dict():
+    first, second = bare_record(), bare_record()
+    assert first.attributes == second.attributes == {}
+    first.attributes["k"] = "v"
+    assert second.attributes == {}
+    assert bare_record().attributes == {}
+    assert first.field_of_science is None
+
+
+def test_record_is_an_immutable_value():
+    record = bare_record()
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.cores = 8
+    changed = record._replace(cores=8)
+    assert type(changed) is UsageRecord
+    assert (changed.cores, record.cores) == (8, 4)
+    assert changed.attributes is record.attributes
+
+
 def test_record_has_no_ground_truth_fields():
     job = terminal_job(true_modality="batch", true_user="secret")
     record = UsageRecord.from_job(job)

@@ -135,7 +135,7 @@ def test_endpoint_quarantines_corrupted_packet():
     packet = AmiePacket.make("site00", 0, good)
     import dataclasses
 
-    mangled = dataclasses.replace(good[0], charged_nu=999.0)
+    mangled = good[0]._replace(charged_nu=999.0)
     corrupted = dataclasses.replace(packet, records=(mangled, good[1]))
     assert not endpoint.receive(corrupted)
     assert len(central) == 0

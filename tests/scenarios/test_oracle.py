@@ -61,9 +61,9 @@ def failed(report):
 
 
 def doctor_record(result, index, **changes):
-    """Swap one stored record for a corrupted copy (records are frozen)."""
+    """Swap one stored record for a corrupted copy (records are immutable)."""
     records = result.central._records
-    records[index] = dataclasses.replace(records[index], **changes)
+    records[index] = records[index]._replace(**changes)
     return records[index]
 
 
@@ -180,8 +180,8 @@ def test_clean_faulty_run_is_green(faulty_result):
 
 def test_tampered_site_ledger_trips_published_conservation(faulty_result):
     feed = faulty_result.providers[0].feed
-    feed.ledger[0] = dataclasses.replace(
-        feed.ledger[0], charged_nu=feed.ledger[0].charged_nu + 1e6
+    feed.ledger[0] = feed.ledger[0]._replace(
+        charged_nu=feed.ledger[0].charged_nu + 1e6
     )
     report = check_scenario(faulty_result)
     assert "conservation.ledger_vs_published" in failed(report)
