@@ -259,16 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="list registered experiments")
     sub.add_parser("taxonomy", help="print the modality taxonomy table")
 
-    report_parser = sub.add_parser(
-        "report", help="regenerate every table/figure into one report"
-    )
-    report_parser.add_argument("--fast", action="store_true",
-                               help="reduced horizons (smoke report)")
-    report_parser.add_argument("--out", default=None,
-                               help="write to a file instead of stdout")
-    report_parser.add_argument("--only", nargs="*", default=None,
-                               help="subset of experiment ids")
-
     run_all_parser = sub.add_parser(
         "run-all",
         help="regenerate the report with parallel workers, caching and "
@@ -565,17 +555,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{experiment_id:4s} {doc}")
         return 0
 
-    if args.command == "report":
-        from repro.experiments.reporting import generate_report
-
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                generate_report(out=handle, fast=args.fast, only=args.only)
-            print(f"report written to {args.out}")
-        else:
-            generate_report(out=sys.stdout, fast=args.fast, only=args.only)
-        return 0
-
     if args.command == "run-all":
         from pathlib import Path
 
@@ -624,13 +603,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as handle:
                     outputs = generate_report(
-                        out=handle, fast=args.fast, only=args.only,
-                        runner=runner, timings=False,
+                        runner, out=handle, fast=args.fast, only=args.only
                     )
             else:
                 outputs = generate_report(
-                    out=sys.stdout, fast=args.fast, only=args.only,
-                    runner=runner, timings=False,
+                    runner, out=sys.stdout, fast=args.fast, only=args.only
                 )
         except KeyError as exc:
             print(exc, file=sys.stderr)

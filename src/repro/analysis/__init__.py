@@ -1,10 +1,5 @@
 """Statistical utilities for experiment analysis."""
 
-from repro.analysis.stats import (
-    bootstrap_ci,
-    describe,
-    seed_replicates,
-    SummaryStats,
-)
+from repro.analysis.stats import SummaryStats, describe
 
-__all__ = ["SummaryStats", "bootstrap_ci", "describe", "seed_replicates"]
+__all__ = ["SummaryStats", "describe"]

@@ -1,20 +1,17 @@
-"""Summary statistics and uncertainty quantification for experiments.
+"""Summary statistics for experiment analysis.
 
-Single-run tables are fine for shape checks, but claims like "strategy A
-beats strategy B" deserve uncertainty: :func:`bootstrap_ci` gives
-nonparametric confidence intervals over per-job samples, and
-:func:`seed_replicates` re-runs a measurement across seeds for run-to-run
-spread.
+:func:`describe` summarises one sample; R1 reports its run-to-run spread
+across seeds with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ["SummaryStats", "bootstrap_ci", "describe", "seed_replicates"]
+__all__ = ["SummaryStats", "describe"]
 
 
 @dataclass(frozen=True)
@@ -52,42 +49,3 @@ def describe(values: Iterable[float]) -> SummaryStats:
         minimum=float(array.min()),
         maximum=float(array.max()),
     )
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    seed: int = 0,
-) -> tuple[float, float, float]:
-    """Percentile-bootstrap CI: returns ``(point, low, high)``.
-
-    Deterministic for a fixed ``seed``; the point estimate is the statistic
-    on the full sample.
-    """
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        raise ValueError("bootstrap of an empty sample")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    rng = np.random.default_rng(seed)
-    point = float(statistic(array))
-    resampled = np.empty(n_resamples)
-    for i in range(n_resamples):
-        resampled[i] = statistic(
-            array[rng.integers(0, array.size, size=array.size)]
-        )
-    alpha = (1.0 - confidence) / 2.0
-    low = float(np.percentile(resampled, 100 * alpha))
-    high = float(np.percentile(resampled, 100 * (1 - alpha)))
-    return point, low, high
-
-
-def seed_replicates(
-    measure: Callable[[int], float], seeds: Sequence[int]
-) -> SummaryStats:
-    """Run ``measure(seed)`` per seed and summarize the replicate spread."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return describe(measure(seed) for seed in seeds)

@@ -2,8 +2,8 @@
 
 The TeraGrid could see jobs, users, accounts and charges — but not what its
 users were *trying to do*.  This package defines the modality taxonomy
-(:mod:`~repro.core.modalities`), extracts measurement features from the
-central accounting stream (:mod:`~repro.core.records`), classifies usage into
+(:mod:`~repro.core.modalities`), resolves identities in the central
+accounting stream (:mod:`~repro.core.records`), classifies usage into
 modalities with and without the paper's proposed job-attribute
 instrumentation (:mod:`~repro.core.classifier`), aggregates usage metrics
 (:mod:`~repro.core.metrics`, :mod:`~repro.core.timeseries`), models the
@@ -14,7 +14,7 @@ measurement system against simulation ground truth
 """
 
 from repro.core.modalities import Modality, MODALITY_TAXONOMY, ModalityDescription
-from repro.core.records import IdentityView, RecordFeatures, build_identity_views
+from repro.core.records import IdentityView, build_identity_views
 from repro.core.classifier import (
     AttributeClassifier,
     ClassifierConfig,
@@ -38,7 +38,6 @@ __all__ = [
     "Modality",
     "ModalityDescription",
     "ModalityMetrics",
-    "RecordFeatures",
     "SurveyInstrument",
     "SurveyResult",
     "build_identity_views",

@@ -23,12 +23,11 @@ from typing import Iterable, Optional
 from repro.core.modalities import MODALITY_ORDER, Modality
 from repro.core.records import (
     IdentityView,
-    RecordFeatures,
     build_identity_views,
     burst_membership,
 )
 from repro.infra.accounting import UsageRecord
-from repro.infra.job import AttributeKeys
+from repro.infra.job import AttributeKeys, JobState
 from repro.infra.units import MINUTE
 
 __all__ = [
@@ -79,14 +78,6 @@ class Classification:
             counts[modality] += 1
         return counts
 
-    def users_exhibiting(self) -> dict[Modality, int]:
-        """Identities exhibiting each modality at all (multi-membership)."""
-        counts = {m: 0 for m in Modality}
-        for modalities in self.identity_modalities.values():
-            for modality in modalities:
-                counts[modality] += 1
-        return counts
-
     @property
     def n_identities(self) -> int:
         return len(self.identity_primary)
@@ -107,19 +98,50 @@ class Classification:
         return labeled, total
 
 
+def _median(values: list) -> float:
+    """The median of ``values`` (sorted in place), as ``numpy.median`` gives it.
+
+    The middle element for an odd count, the mean ``(a + b) / 2`` of the
+    two middle ones for an even count: the same IEEE result either way.
+    """
+    values.sort()
+    middle = len(values) // 2
+    if len(values) % 2:
+        return float(values[middle])
+    return (values[middle - 1] + values[middle]) / 2
+
+
+def _residual_statistics(
+    residual: list[UsageRecord],
+) -> tuple[float, float, float]:
+    """``(median elapsed, failure fraction, median cores)`` of ``residual``.
+
+    The median elapsed time is over the jobs that started, and 0.0 when
+    none did; failures are FAILED and KILLED_WALLTIME jobs.
+    """
+    elapsed = [
+        r.end_time - r.start_time for r in residual if r.start_time is not None
+    ]
+    failed = sum(
+        1 for r in residual
+        if r.final_state is JobState.FAILED
+        or r.final_state is JobState.KILLED_WALLTIME
+    )
+    return (
+        _median(elapsed) if elapsed else 0.0,
+        failed / len(residual),
+        _median([r.cores for r in residual]),
+    )
+
+
 def _split_residual(
     residual: list[UsageRecord], config: ClassifierConfig
 ) -> Modality:
     """Batch vs exploratory for an identity's unlabelled jobs."""
-    features = RecordFeatures.from_records(
-        residual, burst_window=config.burst_window,
-        burst_min_size=config.burst_min_size,
-    )
-    short = features.median_elapsed <= config.exploratory_max_median_elapsed
-    failure_prone = (
-        features.failure_fraction >= config.exploratory_min_failure_fraction
-    )
-    tiny = features.median_cores <= config.exploratory_max_median_cores
+    median_elapsed, failure_fraction, median_cores = _residual_statistics(residual)
+    short = median_elapsed <= config.exploratory_max_median_elapsed
+    failure_prone = failure_fraction >= config.exploratory_min_failure_fraction
+    tiny = median_cores <= config.exploratory_max_median_cores
     if short and (failure_prone or tiny):
         return Modality.EXPLORATORY
     return Modality.BATCH

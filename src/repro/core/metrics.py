@@ -50,10 +50,6 @@ class ModalityMetrics:
     def total_jobs(self) -> int:
         return sum(self.jobs.values())
 
-    @property
-    def total_users(self) -> int:
-        return sum(self.users.values())
-
     def jobs_per_user(self, modality: Modality) -> float:
         users = self.users.get(modality, 0)
         if users == 0:
@@ -65,18 +61,6 @@ class ModalityMetrics:
         if total == 0:
             return 0.0
         return self.nu.get(modality, 0.0) / total
-
-    def size_percentile(self, modality: Modality, q: float) -> float:
-        sizes = self.job_sizes.get(modality, [])
-        if not sizes:
-            return 0.0
-        return float(np.percentile(sizes, q))
-
-    def median_wait(self, modality: Modality) -> float:
-        waits = self.wait_times.get(modality, [])
-        if not waits:
-            return 0.0
-        return float(np.median(waits))
 
 
 def compute_metrics(

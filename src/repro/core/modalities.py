@@ -34,10 +34,6 @@ class Modality(enum.Enum):
     # iteration order of a set of modalities.
     __hash__ = object.__hash__
 
-    @property
-    def label(self) -> str:
-        return MODALITY_TAXONOMY[self].label
-
 
 @dataclass(frozen=True)
 class ModalityDescription:

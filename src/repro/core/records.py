@@ -2,8 +2,8 @@
 
 Classification needs two things the raw record list does not give directly:
 an *identity resolution* step (who is the end user behind each record —
-the crux of the gateway measurement problem) and per-identity *feature
-extraction* (the behavioural statistics heuristics operate on).
+the crux of the gateway measurement problem) and each identity's records in
+submission order, where the heuristics look for submission bursts.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from operator import attrgetter, le
 from typing import Iterable
 
 from repro.infra.accounting import UsageRecord
-from repro.infra.job import AttributeKeys, JobState
+from repro.infra.job import AttributeKeys
 
 __all__ = [
     "resolve_identity",
     "IdentityView",
-    "RecordFeatures",
     "build_identity_views",
 ]
 
@@ -42,72 +41,6 @@ def resolve_identity(record: UsageRecord, use_attributes: bool = True) -> str:
             gateway = record.attributes.get(AttributeKeys.GATEWAY_NAME, "gateway")
             return f"{gateway}:{gateway_user}"
     return record.user
-
-
-def _median(values: list) -> float:
-    """The median of ``values`` (sorted in place), as ``numpy.median`` gives it.
-
-    The middle element for an odd count, the mean ``(a + b) / 2`` of the
-    two middle ones for an even count: the same IEEE result either way.
-    """
-    values.sort()
-    middle = len(values) // 2
-    if len(values) % 2:
-        return float(values[middle])
-    return (values[middle - 1] + values[middle]) / 2
-
-
-@dataclass
-class RecordFeatures:
-    """Behavioural statistics of one identity's records."""
-
-    n_jobs: int
-    median_elapsed: float
-    median_cores: float
-    max_cores: int
-    failure_fraction: float  # FAILED or KILLED_WALLTIME
-    cancelled_fraction: float
-    interactive_fraction: float
-    total_nu: float
-    resources: tuple[str, ...]
-    burst_fraction: float  # jobs submitted in bursts of similar jobs
-
-    @classmethod
-    def from_records(
-        cls,
-        records: list[UsageRecord],
-        burst_window: float = 1800.0,
-        burst_min_size: int = 5,
-    ) -> "RecordFeatures":
-        """Features of ``records``, which must be in submission order."""
-        if not records:
-            raise ValueError("cannot build features from zero records")
-        elapsed: list[float] = []
-        cores: list[int] = []
-        bad = cancelled = interactive = 0
-        for record in records:
-            if record.start_time is not None:
-                elapsed.append(record.end_time - record.start_time)
-            cores.append(record.cores)
-            state = record.final_state
-            if state is JobState.FAILED or state is JobState.KILLED_WALLTIME:
-                bad += 1
-            elif state is JobState.CANCELLED:
-                cancelled += 1
-            if record.queue_name == "interactive":
-                interactive += 1
-        return cls(
-            n_jobs=len(records),
-            median_elapsed=_median(elapsed) if elapsed else 0.0,
-            median_cores=_median(cores),
-            max_cores=max(cores),
-            failure_fraction=bad / len(records),
-            cancelled_fraction=cancelled / len(records),
-            interactive_fraction=interactive / len(records),
-            total_nu=sum(r.charged_nu for r in records),
-            resources=tuple(sorted({r.resource for r in records})),
-            burst_fraction=_burst_fraction(records, burst_window, burst_min_size),
-        )
 
 
 def burst_membership(
@@ -140,13 +73,6 @@ def burst_membership(
                     in_burst[k] = True
             run_start = i
     return in_burst
-
-
-def _burst_fraction(
-    records: list[UsageRecord], window: float, min_size: int
-) -> float:
-    flags = burst_membership(records, window, min_size)
-    return sum(flags) / len(flags) if flags else 0.0
 
 
 @dataclass

@@ -5,11 +5,11 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.core.classifier import AttributeClassifier, ClassifierConfig
-from repro.core.modalities import MODALITY_ORDER, Modality
+from repro.core.modalities import Modality
 from repro.infra.accounting import UsageRecord
 from repro.infra.units import QUARTER
 
-__all__ = ["quarterly_user_counts", "bucketed_nu"]
+__all__ = ["quarterly_user_counts"]
 
 
 def _bucket_of(t: float, bucket: float) -> int:
@@ -35,24 +35,4 @@ def quarterly_user_counts(
     for index in sorted(by_bucket):
         classification = classifier.classify(by_bucket[index])
         series[index] = classification.users_by_modality()
-    return series
-
-
-def bucketed_nu(
-    records: Iterable[UsageRecord],
-    classifier: Optional[AttributeClassifier] = None,
-    bucket: float = QUARTER,
-) -> dict[int, dict[Modality, float]]:
-    """NUs charged per modality within each time bucket."""
-    classifier = classifier or AttributeClassifier(ClassifierConfig())
-    by_bucket: dict[int, list[UsageRecord]] = {}
-    for record in records:
-        by_bucket.setdefault(_bucket_of(record.end_time, bucket), []).append(record)
-    series: dict[int, dict[Modality, float]] = {}
-    for index in sorted(by_bucket):
-        classification = classifier.classify(by_bucket[index])
-        totals = {m: 0.0 for m in MODALITY_ORDER}
-        for record in by_bucket[index]:
-            totals[classification.job_labels[record.job_id]] += record.charged_nu
-        series[index] = totals
     return series

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.workloads import run_scenario
 from repro.workloads.synthetic import (
@@ -71,6 +71,7 @@ __all__ = [
     "execute_task",
     "merge_tasks",
     "campaign",
+    "forget_campaigns",
     "task_campaign_keys",
     "CAMPAIGN_STAGE_ID",
     "CAMPAIGN_DAYS",
@@ -267,6 +268,12 @@ def campaign(**knobs) -> CampaignArtifact:
     can no longer duplicate simulations.
     """
     return _resolve(CampaignKey.make(**knobs))[0]
+
+
+def forget_campaigns(keys: Iterable[CampaignKey]) -> None:
+    """Drop ``keys`` from the campaign memo, with the measurements they hold."""
+    for key in keys:
+        _campaign_cache.pop(key, None)
 
 
 def _resolve(

@@ -1,18 +1,17 @@
 """Run the whole experiment suite and assemble one report.
 
-``python -m repro report`` regenerates every registered table/figure and
-concatenates them — the programmatic source of EXPERIMENTS.md's measured
-sections.  ``fast=True`` substitutes reduced horizons for a minutes-scale
-smoke report.
+``python -m repro run-all`` regenerates every registered table/figure
+through :func:`generate_report` and concatenates them — the programmatic
+source of EXPERIMENTS.md's measured sections.  ``fast=True`` substitutes
+reduced horizons (:data:`FAST_KNOBS`) for a minutes-scale smoke report.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from typing import Optional, TextIO
 
-from repro.experiments.base import ExperimentOutput, registry, run_experiment
+from repro.experiments.base import ExperimentOutput, registry
 
 __all__ = ["FAST_KNOBS", "generate_report"]
 
@@ -51,20 +50,17 @@ _ORDER = [
 
 
 def generate_report(
+    runner,
     out: TextIO = sys.stdout,
     fast: bool = False,
     only: Optional[list[str]] = None,
-    runner=None,
-    timings: bool = True,
 ) -> list[ExperimentOutput]:
-    """Run experiments (all, or ``only``) and write their text to ``out``.
+    """Run experiments (all, or ``only``) on ``runner``; write them to ``out``.
 
-    With a :class:`repro.runner.ParallelRunner` as ``runner``, experiment
-    tasks fan out across its workers; the report is still assembled in the
+    ``runner`` is a :class:`repro.runner.ParallelRunner`: experiment tasks
+    fan out across its workers, and the report is still assembled in the
     fixed display order from partials merged in task-index order, so its
-    bytes do not depend on the worker count.  ``timings=False`` drops the
-    per-experiment wall-clock lines — pass it whenever two reports must be
-    comparable byte-for-byte (timing is scheduling noise, not a result).
+    bytes do not depend on the worker count.
     """
     wanted = [e.upper() for e in only] if only else list(_ORDER)
     missing = [e for e in wanted if e not in registry]
@@ -73,33 +69,13 @@ def generate_report(
     # Anything registered but absent from the display order runs last.
     wanted += [e for e in sorted(registry) if e not in wanted and not only]
 
-    if runner is not None:
-        started = time.time()
-        outputs = runner.run_many(
-            [
-                (experiment_id, FAST_KNOBS.get(experiment_id, {}) if fast else {})
-                for experiment_id in wanted
-            ]
-        )
-        elapsed = time.time() - started
-        for output in outputs:
-            out.write(f"{output}\n\n")
-        out.flush()
-        if timings:
-            out.write(f"[{len(wanted)} experiments regenerated in {elapsed:.1f}s]\n")
-            out.flush()
-        return outputs
-
-    outputs = []
-    for experiment_id in wanted:
-        knobs = FAST_KNOBS.get(experiment_id, {}) if fast else {}
-        started = time.time()
-        output = run_experiment(experiment_id, **knobs)
-        elapsed = time.time() - started
-        outputs.append(output)
-        out.write(f"{output}\n")
-        if timings:
-            out.write(f"[{experiment_id} regenerated in {elapsed:.1f}s]\n")
-        out.write("\n")
-        out.flush()
+    outputs = runner.run_many(
+        [
+            (experiment_id, FAST_KNOBS.get(experiment_id, {}) if fast else {})
+            for experiment_id in wanted
+        ]
+    )
+    for output in outputs:
+        out.write(f"{output}\n\n")
+    out.flush()
     return outputs

@@ -3,7 +3,7 @@
 Everything the measurement system (:mod:`repro.core`) observes is produced
 here: resource-provider sites with batch-scheduled clusters, allocations and
 service-unit charging, a central accounting database, a wide-area network,
-storage, science gateways, submission interfaces, an information service, a
+science gateways, submission interfaces, an information service, a
 metascheduler, a co-allocator for tightly-coupled multi-site runs, and a DAG
 workflow engine.
 """
@@ -32,7 +32,6 @@ from repro.infra.amie import (
 )
 from repro.infra.site import ResourceProvider, SiteDownError
 from repro.infra.network import Network, NetworkLink, Transfer
-from repro.infra.storage import DataCollection, StorageSystem
 from repro.infra.submission import LoginSubmitter, GramSubmitter
 from repro.infra.gateway import ScienceGateway
 from repro.infra.infoservice import InformationService
@@ -52,7 +51,6 @@ from repro.infra.resilience import (
 )
 from repro.infra.pilot import Pilot, PilotManager, PilotTask
 from repro.infra.queues import QueueSet, QueueSpec, default_queues
-from repro.infra.maintenance import MaintenanceSchedule
 
 __all__ = [
     "Allocation",
@@ -69,7 +67,6 @@ __all__ = [
     "ResilientAmieFeed",
     "Cluster",
     "CoAllocator",
-    "DataCollection",
     "DAY",
     "GramSubmitter",
     "HOUR",
@@ -77,7 +74,6 @@ __all__ = [
     "Job",
     "JobState",
     "LoginSubmitter",
-    "MaintenanceSchedule",
     "Metascheduler",
     "MINUTE",
     "Network",
@@ -97,7 +93,6 @@ __all__ = [
     "SelectionStrategy",
     "SiteDownError",
     "SiteOutageInjector",
-    "StorageSystem",
     "SubmissionInterface",
     "TaskGraph",
     "Transfer",

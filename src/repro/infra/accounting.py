@@ -90,10 +90,6 @@ class UsageRecord(_UsageFields):
         return self.end_time - self.start_time
 
     @property
-    def core_hours(self) -> float:
-        return self.cores * self.elapsed / HOUR
-
-    @property
     def ran(self) -> bool:
         return self.start_time is not None
 
@@ -138,8 +134,6 @@ class CentralAccountingDB:
     def __init__(self) -> None:
         self._records: list[UsageRecord] = []
         self._by_user: dict[str, list[UsageRecord]] = {}
-        self._by_resource: dict[str, list[UsageRecord]] = {}
-        self._by_account: dict[str, list[UsageRecord]] = {}
         self._job_ids: set[int] = set()
         #: lifetime count of duplicate job ids skipped by :meth:`ingest`
         self.duplicates_skipped = 0
@@ -168,8 +162,6 @@ class CentralAccountingDB:
             self._job_ids.add(record.job_id)
             self._records.append(record)
             self._by_user.setdefault(record.user, []).append(record)
-            self._by_resource.setdefault(record.resource, []).append(record)
-            self._by_account.setdefault(record.account, []).append(record)
         self.duplicates_skipped += duplicates
         return len(fresh), duplicates
 
@@ -182,27 +174,9 @@ class CentralAccountingDB:
             self._by_user.get(user, []), key=lambda r: (r.submit_time, r.job_id)
         )
 
-    def records_on_resource(self, resource: str) -> list[UsageRecord]:
-        return sorted(
-            self._by_resource.get(resource, []),
-            key=lambda r: (r.end_time, r.job_id),
-        )
-
-    def records_of_account(self, account: str) -> list[UsageRecord]:
-        return sorted(
-            self._by_account.get(account, []),
-            key=lambda r: (r.submit_time, r.job_id),
-        )
-
     def job_ids(self) -> frozenset[int]:
         """Every job id recorded — the oracle's no-double-charge hook."""
         return frozenset(self._job_ids)
-
-    def users(self) -> list[str]:
-        return sorted(self._by_user)
-
-    def resources(self) -> list[str]:
-        return sorted(self._by_resource)
 
     def total_nu(self) -> float:
         return sum(r.charged_nu for r in self._records)

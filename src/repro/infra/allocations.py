@@ -43,14 +43,6 @@ class Allocation:
         if self.budget_nu < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget_nu}")
 
-    @property
-    def remaining_nu(self) -> float:
-        return self.budget_nu - self.charged_nu
-
-    @property
-    def exhausted(self) -> bool:
-        return self.charged_nu >= self.budget_nu
-
     def charge(self, nu: float) -> float:
         """Charge ``nu`` normalized units; returns the amount charged.
 
@@ -61,17 +53,19 @@ class Allocation:
         """
         if nu < 0:
             raise ValueError(f"charge must be >= 0, got {nu}")
-        amount = nu if self.overdraft_allowed else min(nu, max(self.remaining_nu, 0.0))
+        if self.overdraft_allowed:
+            amount = nu
+        else:
+            amount = min(nu, max(self.budget_nu - self.charged_nu, 0.0))
         self.charged_nu += amount
         return amount
 
 
 class AllocationLedger:
-    """Registry of all allocations, indexed by account and by user."""
+    """Registry of all allocations, indexed by account."""
 
     def __init__(self) -> None:
         self._accounts: dict[str, Allocation] = {}
-        self._by_user: dict[str, list[str]] = {}
 
     def create(
         self,
@@ -93,15 +87,7 @@ class AllocationLedger:
             field_of_science=field_of_science,
         )
         self._accounts[account_id] = allocation
-        for user in allocation.users:
-            self._by_user.setdefault(user, []).append(account_id)
         return allocation
-
-    def add_user(self, account_id: str, user: str) -> None:
-        allocation = self.get(account_id)
-        if user not in allocation.users:
-            allocation.users.add(user)
-            self._by_user.setdefault(user, []).append(account_id)
 
     def get(self, account_id: str) -> Allocation:
         try:
@@ -109,20 +95,11 @@ class AllocationLedger:
         except KeyError:
             raise KeyError(f"unknown account {account_id!r}") from None
 
-    def accounts_of(self, user: str) -> list[Allocation]:
-        return [self._accounts[a] for a in self._by_user.get(user, [])]
-
     def charge(self, account_id: str, nu: float) -> float:
         return self.get(account_id).charge(nu)
-
-    def all_accounts(self) -> list[Allocation]:
-        return list(self._accounts.values())
 
     def total_charged(self) -> float:
         return sum(a.charged_nu for a in self._accounts.values())
 
     def __contains__(self, account_id: str) -> bool:
         return account_id in self._accounts
-
-    def __len__(self) -> int:
-        return len(self._accounts)

@@ -290,16 +290,8 @@ class ReconciliationReport:
     resend_enabled: bool
 
     @property
-    def total_missing_before(self) -> int:
-        return sum(a.missing_before for a in self.audits)
-
-    @property
     def total_resent(self) -> int:
         return sum(a.resent for a in self.audits)
-
-    @property
-    def total_recovered(self) -> int:
-        return sum(a.recovered for a in self.audits)
 
     @property
     def total_unrecovered(self) -> int:

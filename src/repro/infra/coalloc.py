@@ -35,13 +35,6 @@ class CoAllocation:
     finished_at: Optional[float] = None
 
     @property
-    def actual_start(self) -> Optional[float]:
-        starts = [j.start_time for j in self.jobs]
-        if any(s is None for s in starts):
-            return None
-        return max(starts)  # the coupled app runs once all parts are up
-
-    @property
     def synchronized(self) -> bool:
         """Whether every part started at the planned common time."""
         return all(

@@ -32,8 +32,8 @@ class NodeFailureInjector:
     machines).  Victims are node-weighted without replacement; the draw is
     fully determined by the supplied generator, so runs are seed-stable.
 
-    Nodes inside an *active maintenance window* (a drain reservation with
-    ``access=None``) are powered down and cannot strike anyone.  Running
+    Nodes inside an *active drain* (a reservation with ``access=None``, as a
+    site outage lays) are powered down and cannot strike anyone.  Running
     jobs avoid drained nodes whenever capacity allows, so only the overlap
     the pigeonhole principle forces — ``busy + drained - total`` nodes —
     is protected; during a full-machine window every busy node is drained
@@ -72,7 +72,7 @@ class NodeFailureInjector:
                 if r.access is None and r.start <= now < r.end
             )
             # Busy nodes forced into the drained set are powered down with
-            # it and cannot fail a job (satellite: faults x maintenance).
+            # it and cannot fail a job.
             total = self.scheduler.cluster.nodes
             exposed = busy_nodes - max(busy_nodes + drained - total, 0)
             if exposed <= 0:

@@ -259,10 +259,3 @@ class ScienceGateway:
             self._do_submit(site, **spec)
             self.backlog_submitted += 1
         self.backlog.extend(keep)
-
-    @property
-    def observed_coverage(self) -> float:
-        """Empirical fraction of jobs that carried the end-user attribute."""
-        if self.jobs_submitted == 0:
-            return 0.0
-        return self.jobs_tagged / self.jobs_submitted

@@ -76,13 +76,6 @@ class InformationService:
         except KeyError:
             raise KeyError(f"unknown resource {resource!r}") from None
 
-    def all_snapshots(self) -> dict[str, dict]:
-        return {name: dict(snap) for name, snap in self._published.items()}
-
-    def staleness(self, resource: str) -> float:
-        """Age of the published snapshot for ``resource``."""
-        return self.sim.now - self.query(resource)["time"]
-
     def believed_up(self, resource: str) -> bool:
         """Whether the *published* view says the site is up (may be stale)."""
         return bool(self.query(resource).get("up", True))

@@ -92,10 +92,6 @@ class Network:
             raise KeyError(f"unknown network site {site!r}") from None
 
     @property
-    def active_transfers(self) -> tuple[Transfer, ...]:
-        return tuple(self._active)
-
-    @property
     def completed_transfers(self) -> tuple[Transfer, ...]:
         return tuple(self._completed)
 
@@ -205,11 +201,3 @@ class Network:
         self._completed.append(transfer)
         assert transfer.done is not None
         transfer.done.succeed(transfer)
-
-    # -- estimates -------------------------------------------------------------------
-    def estimate_duration(self, src: str, dst: str, size_bytes: float) -> float:
-        """Uncontended lower-bound transfer time (used by planners)."""
-        if src == dst:
-            return self.local_copy_time
-        rate = min(self.link(src).bandwidth, self.link(dst).bandwidth)
-        return size_bytes / rate

@@ -53,9 +53,6 @@ class QueueSet:
         self.queues = list(queues)
         self._by_name = {q.name: q for q in queues}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def get(self, name: str) -> QueueSpec:
         try:
             return self._by_name[name]

@@ -18,9 +18,9 @@ surface:
   checkpoint interval.  Keeping it in one place lets a property test bound
   the loss per failure for every consumer at once.
 
-It is deliberately distinct from the *scheduled* :class:`MaintenanceSchedule`
-(announced in advance, drained gracefully) and the per-node
-:class:`NodeFailureInjector` (kills one job, machine stays up): an unplanned
+It is deliberately distinct from a *scheduled* drain (announced in advance,
+drained gracefully) and the per-node :class:`NodeFailureInjector` (kills one
+job, machine stays up): an unplanned
 outage is the only one of the three that the information service can
 misrepresent and that the federation layer must route around.
 """

@@ -264,18 +264,10 @@ class BatchScheduler:
     def queue_length(self) -> int:
         return len(self.queue)
 
-    @property
-    def busy_nodes(self) -> int:
-        return self.cluster.nodes - self.free_nodes
-
     def pending_node_seconds(self) -> float:
         """Total outstanding work in the queue (nodes x requested walltime)."""
         nodes = self._nodes
         return sum(nodes[job.job_id] * job.walltime for job in self.queue)
-
-    def utilization_snapshot(self) -> float:
-        """Fraction of nodes busy right now."""
-        return self.busy_nodes / self.cluster.nodes
 
     # -- policy hook ------------------------------------------------------------
     def _schedule_pass(self) -> None:

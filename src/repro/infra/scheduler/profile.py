@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = ["CapacityProfile"]
 
@@ -135,16 +135,3 @@ class CapacityProfile:
                 stop = candidate + duration - _EPSILON
             i += 1
         return candidate
-
-    @classmethod
-    def from_usages(
-        cls,
-        total_nodes: int,
-        now: float,
-        usages: Iterable[tuple[float, float, int]],
-    ) -> "CapacityProfile":
-        """Convenience constructor from ``(start, end, nodes)`` triples."""
-        profile = cls(total_nodes, now)
-        for start, end, nodes in usages:
-            profile.add_usage(start, end, nodes)
-        return profile

@@ -190,7 +190,7 @@ class ResourceProvider:
     # -- status (consumed by the information service) --------------------------------
     @property
     def available_nodes(self) -> int:
-        """Nodes not blocked by an active drain (maintenance/partial outage)."""
+        """Nodes not blocked by an active drain (a full or partial outage)."""
         now = self.sim.now
         blocked = sum(
             r.nodes

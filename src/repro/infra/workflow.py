@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.infra.job import AttributeKeys, Job, JobState
+from repro.infra.job import AttributeKeys, Job
 from repro.infra.metascheduler import Metascheduler, NoEligibleSiteError
 from repro.infra.network import Network
 from repro.sim import AllOf, Simulator
@@ -98,40 +98,6 @@ class TaskGraph:
     def predecessors(self, name: str) -> list[str]:
         return list(self._pred[name])
 
-    def successors(self, name: str) -> list[str]:
-        return list(self._succ[name])
-
-    def topological_order(self) -> list[str]:
-        """Kahn's sort by generations: the sources in insertion order, then
-        each generation's newly freed children in edge-insertion order."""
-        indegree = {task: len(preds) for task, preds in self._pred.items()}
-        generation = [task for task, degree in indegree.items() if degree == 0]
-        order: list[str] = []
-        while generation:
-            order.extend(generation)
-            freed = []
-            for task in generation:
-                for child in self._succ[task]:
-                    indegree[child] -= 1
-                    if indegree[child] == 0:
-                        freed.append(child)
-            generation = freed
-        return order
-
-    def critical_path_runtime(self) -> float:
-        """Lower bound on makespan: longest runtime chain (no queue waits)."""
-        longest: dict[str, float] = {}
-        for task in self.topological_order():
-            runtime = self.spec(task).true_runtime
-            preds = self.predecessors(task)
-            longest[task] = runtime + max(
-                (longest[p] for p in preds), default=0.0
-            )
-        return max(longest.values(), default=0.0)
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
     @classmethod
     def parameter_sweep(
         cls,
@@ -184,10 +150,6 @@ class WorkflowResult:
     @property
     def makespan(self) -> float:
         return self.finished_at - self.started_at
-
-    @property
-    def succeeded(self) -> bool:
-        return all(job.state is JobState.COMPLETED for job in self.jobs)
 
 
 class WorkflowEngine:

@@ -8,7 +8,6 @@ bytes; that invariant is CI-enforced as a byte-diff.
 """
 
 from repro.obs.export import (
-    chrome_trace_from_sidecar,
     chrome_trace_from_tracer,
     validate_chrome_trace,
     write_chrome_trace,
@@ -16,7 +15,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     Counter,
     CounterAttr,
-    Gauge,
     Histogram,
     MetricsRegistry,
     ScopedRegistry,
@@ -41,13 +39,11 @@ __all__ = [
     "SCHEMA",
     "Counter",
     "CounterAttr",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ScopedRegistry",
     "SimTracer",
     "Telemetry",
-    "chrome_trace_from_sidecar",
     "chrome_trace_from_tracer",
     "process_type",
     "profile_experiment",

@@ -1,14 +1,11 @@
-"""Chrome trace-event JSON exporter for both trace domains.
+"""Chrome trace-event JSON exporter for the simulation trace domain.
 
 Produces the ``chrome://tracing`` / Perfetto "JSON Object Format": a dict
 with a ``traceEvents`` list of complete events (``"ph": "X"``, timestamps
-in microseconds).  Two kinds of input map onto it:
-
-* sim-domain process spans from a :class:`~repro.obs.trace.SimTracer` —
-  one track (``tid``) per process type, with one simulated second rendered
-  as one trace microsecond so multi-day campaigns stay navigable;
-* wall-domain span records from a telemetry sidecar — real wall-clock,
-  re-based so the earliest span starts at ``ts == 0``.
+in microseconds).  Its input is the sim-domain process spans of a
+:class:`~repro.obs.trace.SimTracer` (``repro profile --chrome``): one track
+(``tid``) per process type, with one simulated second rendered as one trace
+microsecond so multi-day campaigns stay navigable.
 
 The exporter is a sink for diagnostics only; nothing under ``results/``
 reads it.  :func:`validate_chrome_trace` is the schema check the test
@@ -21,7 +18,6 @@ import json
 from pathlib import Path
 
 __all__ = [
-    "chrome_trace_from_sidecar",
     "chrome_trace_from_tracer",
     "validate_chrome_trace",
     "write_chrome_trace",
@@ -77,64 +73,6 @@ def chrome_trace_from_tracer(tracer, pid: int = 1) -> dict:
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "metadata": {"domain": "sim", "events_total": tracer.events_total},
-    }
-
-
-def chrome_trace_from_sidecar(records: list[dict], pid: int = 2) -> dict:
-    """Render a telemetry sidecar's wall spans/events as a Chrome trace."""
-    spans = [r for r in records if r.get("type") == "span"]
-    points = [r for r in records if r.get("type") == "event"]
-    starts = [r["start"] for r in spans] + [r["at"] for r in points]
-    epoch = min(starts) if starts else 0.0
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "wall-time"},
-        }
-    ]
-    for record in spans:
-        args = {
-            key: value
-            for key, value in record.items()
-            if key not in ("type", "name", "start", "duration")
-        }
-        events.append(
-            {
-                "name": record["name"],
-                "cat": "wall",
-                "ph": "X",
-                "ts": (record["start"] - epoch) * 1e6,
-                "dur": record["duration"] * 1e6,
-                "pid": pid,
-                "tid": int(record.get("worker", 0)),
-                "args": args,
-            }
-        )
-    for record in points:
-        args = {
-            key: value
-            for key, value in record.items()
-            if key not in ("type", "name", "at")
-        }
-        events.append(
-            {
-                "name": record["name"],
-                "cat": "wall",
-                "ph": "i",
-                "s": "g",
-                "ts": (record["at"] - epoch) * 1e6,
-                "pid": pid,
-                "tid": 0,
-                "args": args,
-            }
-        )
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "metadata": {"domain": "wall"},
     }
 
 

@@ -4,7 +4,7 @@ Before this module existed, operational counters were scattered dicts and
 bare ``int`` attributes across the federation substrate (`infra.resilience`,
 `infra.gateway`, `infra.amie`), the runner (`runner.cache`) and the oracle —
 every consumer re-derived totals its own way.  The registry follows the
-XDMoD idea of a single queryable metric namespace: every counter, gauge and
+XDMoD idea of a single queryable metric namespace: every counter and
 histogram has a dotted name (``ingest.packets_received``,
 ``gateway.nanohub.requests_shed``), components *register* their instruments
 once and keep mutating them through normal attribute-style access, and any
@@ -24,7 +24,6 @@ from typing import Iterator, Optional
 __all__ = [
     "Counter",
     "CounterAttr",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ScopedRegistry",
@@ -75,30 +74,8 @@ class Counter:
             )
         self.value = value
 
-    def __int__(self) -> int:
-        return self.value
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A point-in-time value that also remembers its high-water mark."""
-
-    __slots__ = ("name", "value", "high_water")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.high_water = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.high_water:
-            self.high_water = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Gauge {self.name}={self.value} hwm={self.high_water}>"
 
 
 class Histogram:
@@ -126,10 +103,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Histogram {self.name} n={self.count} total={self.total}>"
 
@@ -137,7 +110,7 @@ class Histogram:
 class MetricsRegistry:
     """Dotted-name instrument registry (get-or-create, type-checked).
 
-    ``counter``/``gauge``/``histogram`` return the existing instrument when
+    ``counter``/``histogram`` return the existing instrument when
     the name is already registered — that is what makes the registry a
     single source of truth rather than a mirror — and raise if the name is
     registered as a different instrument kind (two components colliding on
@@ -145,7 +118,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Histogram] = {}
 
     def _get_or_create(self, name: str, kind):
         if not name or name.startswith(".") or name.endswith("."):
@@ -165,9 +138,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
@@ -179,14 +149,8 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
 
-    def __len__(self) -> int:
-        return len(self._instruments)
-
     def names(self) -> list[str]:
         return sorted(self._instruments)
-
-    def get(self, name: str):
-        return self._instruments.get(name)
 
     def value(self, name: str):
         """The instrument's scalar value (histograms report their total)."""
@@ -211,11 +175,6 @@ class MetricsRegistry:
             instrument = self._instruments[name]
             if isinstance(instrument, Counter):
                 snapshot[name] = instrument.value
-            elif isinstance(instrument, Gauge):
-                snapshot[name] = {
-                    "value": instrument.value,
-                    "high_water": instrument.high_water,
-                }
             else:
                 snapshot[name] = {
                     "count": instrument.count,
@@ -240,12 +199,6 @@ class ScopedRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._registry.counter(self._name(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._registry.gauge(self._name(name))
-
-    def histogram(self, name: str) -> Histogram:
-        return self._registry.histogram(self._name(name))
 
     def scoped(self, prefix: str) -> "ScopedRegistry":
         return ScopedRegistry(self._registry, self._name(prefix))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Optional
 
@@ -80,19 +79,6 @@ class Telemetry:
                 **fields,
             }
         )
-
-    @contextmanager
-    def span(self, name: str, **fields: Any):
-        started = time.time()
-        try:
-            yield
-        finally:
-            self.add_span(name, started, time.time() - started, **fields)
-
-    def add_sim_summary(self, tracer) -> None:
-        """Attach a sim-tracer's two summaries (sim slice + wall slice)."""
-        self.records.append({"type": "summary", **tracer.sim_summary()})
-        self.records.append({"type": "summary", **tracer.wall_summary()})
 
     def add_task_sim_summary(self, key: str, summary: dict) -> None:
         """Attach one task's deterministic sim slice (shipped from a worker).

@@ -52,8 +52,7 @@ class SimTracer:
 
     One tracer may observe several :class:`~repro.sim.Simulator` instances
     (a sweep's campaigns); counts accumulate.  The deterministic slice is
-    exposed by :meth:`sim_summary`, the nondeterministic one by
-    :meth:`wall_summary` — keep them apart.
+    exposed by :meth:`sim_summary`; the wall-clock fields stay out of it.
     """
 
     def __init__(self, span_cap: int = DEFAULT_SPAN_CAP) -> None:
@@ -116,14 +115,6 @@ class SimTracer:
             "heap_high_water": self.heap_high_water,
             "process_spans_retained": len(self.process_spans),
             "process_spans_dropped": self.spans_dropped,
-        }
-
-    def wall_summary(self) -> dict:
-        """The nondeterministic slice: sidecar/profile only, never reports."""
-        return {
-            "domain": "wall",
-            "wall_total_seconds": self.wall_total,
-            "wall_by_event_type": dict(sorted(self.wall_by_event_type.items())),
         }
 
     def hot_events(self, top: int = 10) -> list[tuple[str, int, float]]:

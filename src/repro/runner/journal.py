@@ -131,13 +131,3 @@ class RunJournal:
             for event in self.events()
             if event.get("event") == "task-completed" and "key" in event
         )
-
-    def failed_keys(self) -> frozenset[str]:
-        """Task keys whose *latest* outcome is a failure."""
-        latest: dict[str, str] = {}
-        for event in self.events():
-            if event.get("event") in ("task-completed", "task-failed"):
-                key = event.get("key")
-                if key:
-                    latest[key] = event["event"]
-        return frozenset(k for k, v in latest.items() if v == "task-failed")

@@ -468,6 +468,13 @@ class ParallelRunner:
         self._pool_broken = False
         batch = list(queue)
         queue.clear()
+        # With a store, a worker releases each campaign after the batch's
+        # last task that reads it; a later reader would load it again.
+        last_reader = {}
+        if self.artifacts is not None:
+            for batch_index, (_position, task, _attempt) in enumerate(batch):
+                for campaign_key in task_campaign_keys(task):
+                    last_reader[campaign_key] = batch_index
         future_map = {}
         requeue: list[tuple[int, ExperimentTask, int]] = []
         for batch_index, (position, task, attempt) in enumerate(batch):
@@ -484,6 +491,11 @@ class ParallelRunner:
                     else None
                 ),
                 trace_sim=self.trace_sim,
+                release=tuple(
+                    campaign_key
+                    for campaign_key, last in last_reader.items()
+                    if last == batch_index
+                ),
             )
             try:
                 future = pool.submit(run_task_hardened, spec)

@@ -40,6 +40,9 @@ class WorkerSpec:
     artifact_dir: Optional[str] = None
     #: trace the task's simulations and ship the sim-domain summary back
     trace_sim: bool = False
+    #: campaigns no later task of the round reads: dropped from this
+    #: worker's memo once the task is done
+    release: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,7 @@ def run_task(task) -> Any:
 
 def run_task_hardened(spec: WorkerSpec) -> WorkerOutcome:
     """Chaos-aware, timeout-limited execution with structured outcomes."""
+    from repro.experiments.base import forget_campaigns
     from repro.runner import artifacts as artifact_mod
     from repro.runner.chaos import chaos_from_env
 
@@ -81,7 +85,7 @@ def run_task_hardened(spec: WorkerSpec) -> WorkerOutcome:
     started_wall = time.time()
     chaos = chaos_from_env()
     # campaign() resolves through the task's store; the campaign memo it
-    # fills persists for the life of the worker.
+    # fills persists for the life of the worker, but for what it releases.
     store = (
         artifact_mod.ArtifactStore(root=spec.artifact_dir)
         if spec.artifact_dir is not None
@@ -123,6 +127,8 @@ def run_task_hardened(spec: WorkerSpec) -> WorkerOutcome:
             started_at=started_wall,
             artifact_stats=artifact_mod.stats_delta(stats_before),
         )
+    finally:
+        forget_campaigns(spec.release)
     return WorkerOutcome(
         status=OUTCOME_OK,
         value=value,

@@ -4,7 +4,7 @@ SimPy is not available in this offline environment, so :mod:`repro.sim`
 provides an equivalent generator-based process/event kernel: a time-ordered
 event heap (:class:`~repro.sim.engine.Simulator`), coroutine processes that
 ``yield`` events (:class:`~repro.sim.process.Process`), timeouts (which
-double as callback timers), condition events, counting resources, stores, and
+double as callback timers), condition events, counting resources, and
 reproducible named random streams.
 
 Quick example::
@@ -31,7 +31,7 @@ from repro.sim.process import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Request, Resource, Store
+from repro.sim.resources import Request, Resource
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim import distributions
 
@@ -47,7 +47,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StopSimulation",
-    "Store",
     "Timeout",
     "distributions",
 ]

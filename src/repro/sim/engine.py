@@ -8,8 +8,6 @@ from time import perf_counter
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.process import (
-    AllOf,
-    AnyOf,
     Event,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -136,14 +134,6 @@ class Simulator:
     ) -> Process:
         """Start ``generator`` as a process at the current time."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events) -> AllOf:
-        """Event that triggers when all of ``events`` have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------------
     def _schedule(

@@ -1,17 +1,16 @@
-"""Shared resources for simulation processes: counting resources and stores."""
+"""Shared resources for simulation processes: counting resources."""
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import count
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING
 
 from repro.sim.process import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Request", "Resource", "Store"]
+__all__ = ["Request", "Resource"]
 
 
 class Request(Event):
@@ -43,10 +42,6 @@ class Request(Event):
         self.amount = int(amount)
         self.priority = priority
 
-    def cancel(self) -> None:
-        """Withdraw an ungranted request (no-op if already granted)."""
-        self.resource._cancel(self)
-
 
 class Resource:
     """A counting resource with ``capacity`` units and a priority queue.
@@ -72,16 +67,6 @@ class Resource:
         """Units currently granted."""
         return self._in_use
 
-    @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of ungranted requests."""
-        return len(self._queue)
-
     # -- operations ----------------------------------------------------------
     def request(self, amount: int = 1, priority: float = 0.0) -> Request:
         """Claim ``amount`` units; the returned event triggers when granted."""
@@ -94,18 +79,11 @@ class Resource:
     def release(self, request: Request) -> None:
         """Return the units held by a granted ``request``."""
         if not request.triggered:
-            raise RuntimeError("release() of an ungranted request; use cancel()")
+            raise RuntimeError("release() of an ungranted request")
         self._in_use -= request.amount
         if self._in_use < 0:  # pragma: no cover - defensive
             raise RuntimeError("resource released below zero in-use")
         self._grant()
-
-    def _cancel(self, request: Request) -> None:
-        for i, (_p, _s, queued) in enumerate(self._queue):
-            if queued is request:
-                del self._queue[i]
-                self._grant()
-                return
 
     def _grant(self) -> None:
         while self._queue:
@@ -115,57 +93,3 @@ class Resource:
             self._queue.pop(0)
             self._in_use += head.amount
             head.succeed(head)
-
-
-class Store:
-    """An unbounded FIFO buffer of items passed between processes.
-
-    ``put`` never blocks; ``get`` returns an event that triggers with the
-    oldest item (immediately if one is available).  A ``filter`` predicate on
-    ``get`` retrieves the first matching item instead.
-    """
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._items: deque[Any] = deque()
-        self._getters: deque[tuple[Event, Optional[Callable[[Any], bool]]]] = deque()
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of buffered items (oldest first)."""
-        return tuple(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``, waking the first compatible waiting getter."""
-        self._items.append(item)
-        self._dispatch()
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
-        """Event that triggers with the next (matching) item."""
-        event = Event(self.sim)
-        self._getters.append((event, filter))
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        # Pair waiting getters with buffered items, in order, until no
-        # getter at the head can be satisfied.
-        progress = True
-        while progress and self._getters and self._items:
-            progress = False
-            for gi, (event, predicate) in enumerate(self._getters):
-                match_index = None
-                for ii, item in enumerate(self._items):
-                    if predicate is None or predicate(item):
-                        match_index = ii
-                        break
-                if match_index is not None:
-                    del self._getters[gi]
-                    item = self._items[match_index]
-                    del self._items[match_index]
-                    event.succeed(item)
-                    progress = True
-                    break

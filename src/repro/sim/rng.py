@@ -58,10 +58,3 @@ class RandomStreams:
             )
             self._streams[name] = generator
         return generator
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
-    def names(self) -> tuple[str, ...]:
-        """Names of streams created so far."""
-        return tuple(self._streams)

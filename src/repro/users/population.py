@@ -105,15 +105,6 @@ class Population:
     def truth_by_identity(self) -> dict[str, Modality]:
         return {user.identity: user.modality for user in self.users}
 
-    def users_of(self, modality: Modality) -> list[User]:
-        return [u for u in self.users if u.modality is modality]
-
-    def true_user_counts(self) -> dict[Modality, int]:
-        counts = {m: 0 for m in MODALITY_ORDER}
-        for user in self.users:
-            counts[user.modality] += 1
-        return counts
-
     def __len__(self) -> int:
         return len(self.users)
 

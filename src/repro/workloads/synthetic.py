@@ -536,9 +536,6 @@ class CampaignArtifact:
     def truth_by_job(self) -> dict[int, Modality]:
         return dict(self.job_truth)
 
-    def truth_by_identity(self) -> dict[str, Modality]:
-        return dict(self.identity_truth)
-
     def active_truth_by_identity(self) -> dict[str, Modality]:
         return {
             identity: modality

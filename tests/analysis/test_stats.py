@@ -1,10 +1,8 @@
 """Tests for the statistics helpers."""
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.analysis import bootstrap_ci, describe, seed_replicates
+from repro.analysis import describe
 
 
 def test_describe_basic():
@@ -25,45 +23,3 @@ def test_describe_single_value_has_zero_std():
 def test_describe_empty_raises():
     with pytest.raises(ValueError):
         describe([])
-
-
-def test_bootstrap_ci_brackets_mean():
-    rng = np.random.default_rng(5)
-    sample = rng.normal(10.0, 2.0, size=400)
-    point, low, high = bootstrap_ci(sample)
-    assert low <= point <= high
-    assert 9.5 < point < 10.5
-    assert high - low < 1.0  # reasonably tight at n=400
-
-
-def test_bootstrap_ci_deterministic():
-    sample = np.random.default_rng(0).normal(size=100).tolist()
-    assert bootstrap_ci(sample, seed=3) == bootstrap_ci(sample, seed=3)
-    assert bootstrap_ci(sample, seed=3) != bootstrap_ci(sample, seed=4)
-
-
-def test_bootstrap_ci_validation():
-    with pytest.raises(ValueError):
-        bootstrap_ci([])
-    with pytest.raises(ValueError):
-        bootstrap_ci([1.0], confidence=1.5)
-
-
-def test_bootstrap_custom_statistic():
-    point, low, high = bootstrap_ci([1, 2, 3, 100], statistic=np.median)
-    assert point == 2.5
-    assert low <= point <= high
-
-
-@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=80))
-def test_bootstrap_ci_contains_point(values):
-    point, low, high = bootstrap_ci(values, n_resamples=200)
-    assert low - 1e-9 <= point <= high + 1e-9
-
-
-def test_seed_replicates():
-    stats = seed_replicates(lambda seed: float(seed * 2), seeds=[1, 2, 3])
-    assert stats.n == 3
-    assert stats.mean == 4.0
-    with pytest.raises(ValueError):
-        seed_replicates(lambda seed: 0.0, seeds=[])

@@ -8,7 +8,7 @@ differential tests in ``test_reference_pipeline.py``:
 
 * the heuristic classifier works on copies of the records with their
   attributes removed, so it cannot read one;
-* features come from numpy arrays and ``numpy.median``;
+* the residual statistics come from numpy arrays and ``numpy.median``;
 * every step that needs submission order sorts for itself.
 
 It shares only plain containers and constants with ``repro.core``.
@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.classifier import Classification, ClassifierConfig
 from repro.core.metrics import ModalityMetrics, gini
 from repro.core.modalities import MODALITY_ORDER, Modality
-from repro.core.records import IdentityView, RecordFeatures
+from repro.core.records import IdentityView
 from repro.infra.accounting import UsageRecord
 from repro.infra.job import AttributeKeys, JobState
 
@@ -60,14 +60,11 @@ def strip_attributes(records: Iterable[UsageRecord]) -> list[UsageRecord]:
     ]
 
 
-def features(
+def residual_statistics(
     records: list[UsageRecord],
-    burst_window: float = 1800.0,
-    burst_min_size: int = 5,
-) -> RecordFeatures:
-    """:class:`RecordFeatures` from numpy arrays, in any record order."""
-    if not records:
-        raise ValueError("cannot build features from zero records")
+) -> tuple[float, float, float]:
+    """``(median elapsed, failure fraction, median cores)`` from numpy
+    arrays, in any record order."""
     elapsed = np.array([r.elapsed for r in records if r.ran], dtype=float)
     cores = np.array([r.cores for r in records], dtype=float)
     bad = sum(
@@ -75,19 +72,10 @@ def features(
         for r in records
         if r.final_state in (JobState.FAILED, JobState.KILLED_WALLTIME)
     )
-    cancelled = sum(1 for r in records if r.final_state is JobState.CANCELLED)
-    interactive = sum(1 for r in records if r.queue_name == "interactive")
-    return RecordFeatures(
-        n_jobs=len(records),
-        median_elapsed=float(np.median(elapsed)) if elapsed.size else 0.0,
-        median_cores=float(np.median(cores)),
-        max_cores=int(cores.max()),
-        failure_fraction=bad / len(records),
-        cancelled_fraction=cancelled / len(records),
-        interactive_fraction=interactive / len(records),
-        total_nu=sum(r.charged_nu for r in records),
-        resources=tuple(sorted({r.resource for r in records})),
-        burst_fraction=_burst_fraction(records, burst_window, burst_min_size),
+    return (
+        float(np.median(elapsed)) if elapsed.size else 0.0,
+        bad / len(records),
+        float(np.median(cores)),
     )
 
 
@@ -119,13 +107,6 @@ def burst_membership(
     return in_burst
 
 
-def _burst_fraction(
-    records: list[UsageRecord], window: float, min_size: int
-) -> float:
-    flags = burst_membership(_submission_sorted(records), window, min_size)
-    return sum(flags) / len(flags) if flags else 0.0
-
-
 def build_identity_views(
     records: Iterable[UsageRecord], use_attributes: bool = True
 ) -> dict[str, IdentityView]:
@@ -141,12 +122,12 @@ def build_identity_views(
 def _split_residual(
     residual: list[UsageRecord], config: ClassifierConfig
 ) -> Modality:
-    found = features(residual, config.burst_window, config.burst_min_size)
-    short = found.median_elapsed <= config.exploratory_max_median_elapsed
-    failure_prone = (
-        found.failure_fraction >= config.exploratory_min_failure_fraction
+    median_elapsed, failure_fraction, median_cores = residual_statistics(
+        residual
     )
-    tiny = found.median_cores <= config.exploratory_max_median_cores
+    short = median_elapsed <= config.exploratory_max_median_elapsed
+    failure_prone = failure_fraction >= config.exploratory_min_failure_fraction
+    tiny = median_cores <= config.exploratory_max_median_cores
     if short and (failure_prone or tiny):
         return Modality.EXPLORATORY
     return Modality.BATCH

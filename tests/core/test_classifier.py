@@ -6,6 +6,7 @@ from repro.core.classifier import (
     AttributeClassifier,
     ClassifierConfig,
     HeuristicClassifier,
+    _residual_statistics,
 )
 from repro.core.modalities import Modality
 from repro.infra.job import AttributeKeys, JobState
@@ -81,6 +82,20 @@ def test_residual_split_batch_vs_exploratory(make_record):
     assert classification.identity_primary["porter"] is Modality.EXPLORATORY
 
 
+def test_residual_statistics_skip_jobs_that_never_started(make_record):
+    records = [
+        make_record(elapsed=100.0, cores=4),
+        make_record(elapsed=200.0, cores=8),
+        make_record(elapsed=300.0, cores=16, state=JobState.FAILED),
+        make_record(elapsed=0.0, wait=None, cores=32, state=JobState.CANCELLED),
+    ]
+    # Elapsed over the three started jobs; failures and cores over all four.
+    assert _residual_statistics(records) == (200.0, 0.25, 12.0)
+    killed = make_record(elapsed=50.0, cores=2, state=JobState.KILLED_WALLTIME)
+    assert _residual_statistics(records + [killed]) == (150.0, 0.4, 8.0)
+    assert _residual_statistics(records[3:]) == (0.0, 0.0, 32.0)
+
+
 def test_users_by_modality_counts_primaries(make_record):
     records = batch_like(make_record) + exploratory_like(make_record)
     classification = AttributeClassifier().classify(records)
@@ -108,9 +123,6 @@ def test_multi_modality_user_primary_by_job_count(make_record):
         Modality.BATCH,
         Modality.ENSEMBLE,
     }
-    exhibiting = classification.users_exhibiting()
-    assert exhibiting[Modality.BATCH] == 1
-    assert exhibiting[Modality.ENSEMBLE] == 1
 
 
 def test_instrumented_gateway_users_resolved(make_record):

@@ -1,5 +1,7 @@
 """Tests for usage metrics aggregation."""
 
+from statistics import median
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,10 +96,10 @@ def test_jobs_per_user_and_percentiles(make_record):
     metrics = compute_metrics(records, classification)
     assert metrics.jobs_per_user(Modality.GATEWAY) == 4.0
     assert metrics.jobs_per_user(Modality.COUPLED) == 0.0
-    assert metrics.size_percentile(Modality.BATCH, 50) == 64.0
-    assert metrics.size_percentile(Modality.COUPLED, 50) == 0.0
-    assert metrics.median_wait(Modality.BATCH) == 600.0
-    assert metrics.median_wait(Modality.VIZ) == 0.0
+    assert median(metrics.job_sizes[Modality.BATCH]) == 64.0
+    assert metrics.job_sizes[Modality.COUPLED] == []
+    assert median(metrics.wait_times[Modality.BATCH]) == 600.0
+    assert metrics.wait_times[Modality.VIZ] == []
 
 
 def test_metrics_requires_labels_for_all_records(make_record):

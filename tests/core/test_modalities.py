@@ -34,7 +34,3 @@ def test_every_entry_lists_signals():
         assert description.signals
         assert description.objective
         assert description.access
-
-
-def test_label_property_shortcut():
-    assert Modality.GATEWAY.label == MODALITY_TAXONOMY[Modality.GATEWAY].label

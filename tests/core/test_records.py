@@ -1,14 +1,13 @@
-"""Tests for identity resolution and feature extraction."""
+"""Tests for identity resolution, submission bursts and identity views."""
 
 import pytest
 
 from repro.core.records import (
-    RecordFeatures,
     build_identity_views,
     burst_membership,
     resolve_identity,
 )
-from repro.infra.job import AttributeKeys, JobState
+from repro.infra.job import AttributeKeys
 
 
 def test_identity_defaults_to_account_user(make_record):
@@ -34,36 +33,6 @@ def test_untagged_gateway_job_collapses_to_community_user(make_record):
         attributes={AttributeKeys.SUBMIT_INTERFACE: "gateway"},
     )
     assert resolve_identity(record) == "gw_nanohub"
-
-
-def test_features_basic_statistics(make_record):
-    records = [
-        make_record(elapsed=100.0, cores=4),
-        make_record(elapsed=200.0, cores=8),
-        make_record(elapsed=300.0, cores=16, state=JobState.FAILED),
-        make_record(elapsed=0.0, wait=None, state=JobState.CANCELLED),
-    ]
-    features = RecordFeatures.from_records(records)
-    assert features.n_jobs == 4
-    assert features.median_elapsed == 200.0
-    assert features.failure_fraction == 0.25
-    assert features.cancelled_fraction == 0.25
-    assert features.max_cores == 16
-    assert features.resources == ("ranger",)
-
-
-def test_features_reject_empty():
-    with pytest.raises(ValueError):
-        RecordFeatures.from_records([])
-
-
-def test_interactive_fraction_counts_queue(make_record):
-    records = [
-        make_record(queue_name="interactive"),
-        make_record(queue_name="normal"),
-    ]
-    features = RecordFeatures.from_records(records)
-    assert features.interactive_fraction == 0.5
 
 
 def test_burst_membership_flags_runs_of_similar_jobs(make_record):
@@ -93,16 +62,6 @@ def test_burst_membership_requires_submission_order(make_record):
     with pytest.raises(ValueError):
         burst_membership(tied, window=1800.0, min_size=2)
     assert burst_membership(tied[::-1], window=1800.0, min_size=2) == [True, True]
-
-
-def test_burst_fraction_in_features(make_record):
-    burst = [
-        make_record(cores=8, submit=i * 60.0, job_id=500 + i) for i in range(10)
-    ]
-    features = RecordFeatures.from_records(burst)
-    assert features.burst_fraction == 1.0
-    with pytest.raises(ValueError):  # features need submission order
-        RecordFeatures.from_records(burst[::-1])
 
 
 def test_build_identity_views_groups_in_submission_order(make_record):

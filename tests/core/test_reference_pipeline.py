@@ -10,10 +10,13 @@ import dataclasses
 
 import pytest
 
-from repro.core.classifier import AttributeClassifier, HeuristicClassifier
+from repro.core.classifier import (
+    AttributeClassifier,
+    HeuristicClassifier,
+    _residual_statistics,
+)
 from repro.core.metrics import ModalityMetrics, compute_metrics
 from repro.core.modalities import Modality
-from repro.core.records import RecordFeatures
 from repro.infra.accounting import UsageRecord
 from repro.infra.job import AttributeKeys, JobState
 from repro.infra.units import HOUR, MINUTE
@@ -63,11 +66,11 @@ def assert_same_metrics(found, expected):
         ), spec.name
 
 
-def assert_same_features(views):
+def assert_same_statistics(views):
     for view in views.values():
-        assert RecordFeatures.from_records(view.records) == reference.features(
+        assert _residual_statistics(
             view.records
-        ), view.identity
+        ) == reference.residual_statistics(view.records), view.identity
 
 
 def check_pipeline(records, community):
@@ -92,8 +95,8 @@ def check_pipeline(records, community):
         compute_metrics(records, heuristic.classify(records)),
         reference.compute_metrics(records, expected),
     )
-    assert_same_features(instrumented.views)
-    assert_same_features(expected.views)
+    assert_same_statistics(instrumented.views)
+    assert_same_statistics(expected.views)
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["seed1", "seed2"])

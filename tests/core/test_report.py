@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.modalities import MODALITY_ORDER, Modality
+from repro.core.modalities import MODALITY_ORDER, MODALITY_TAXONOMY, Modality
 from repro.core.report import ascii_table, modality_table, series_block, taxonomy_table
 
 
@@ -44,4 +44,4 @@ def test_modality_table_blank_for_missing():
 def test_taxonomy_table_mentions_all_modalities():
     table = taxonomy_table()
     for modality in MODALITY_ORDER:
-        assert modality.label in table
+        assert MODALITY_TAXONOMY[modality].label in table

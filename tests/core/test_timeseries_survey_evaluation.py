@@ -11,7 +11,7 @@ from repro.core.survey import (
     SurveyInstrument,
     SurveyResult,
 )
-from repro.core.timeseries import bucketed_nu, quarterly_user_counts
+from repro.core.timeseries import quarterly_user_counts
 from repro.infra.job import AttributeKeys
 from repro.infra.units import DAY, HOUR
 
@@ -53,17 +53,6 @@ def test_quarterly_counts_show_growth(make_record):
     series = quarterly_user_counts(records, bucket=bucket)
     assert series[0][Modality.GATEWAY] == 1
     assert series[1][Modality.GATEWAY] == 5
-
-
-def test_bucketed_nu_sums_match_records(make_record):
-    bucket = 10 * DAY
-    records = [
-        make_record(user="a", submit=0.0, elapsed=HOUR, cores=10, job_id=9200),
-        make_record(user="b", submit=12 * DAY, elapsed=HOUR, cores=20, job_id=9201),
-    ]
-    series = bucketed_nu(records, bucket=bucket)
-    total = sum(sum(b.values()) for b in series.values())
-    assert total == pytest.approx(sum(r.charged_nu for r in records))
 
 
 # ------------------------------------------------------------------- survey

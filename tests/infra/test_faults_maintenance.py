@@ -16,6 +16,7 @@ import pytest
 
 import repro.infra as I
 from repro.infra.job import Job, JobState
+from repro.infra.scheduler.base import Reservation
 from repro.infra.units import DAY, HOUR
 from repro.sim import Simulator
 
@@ -46,13 +47,26 @@ def job(cores=4, walltime=10 * HOUR, runtime=None):
                job_id=next(_ids))
 
 
+def announce_drains(sim, scheduler, first, period, duration, lead, until):
+    """Lay full-machine ``access=None`` windows, each ``lead`` ahead of it."""
+    start = first
+    while start - lead < until:
+        yield sim.timeout(start - lead - sim.now)
+        scheduler.add_reservation(
+            Reservation(start=start, end=start + duration,
+                        nodes=scheduler.cluster.nodes, access=None, label="pm")
+        )
+        start += period
+
+
 def run_flaky_maintained_site(seed):
     """A flaky machine with PM windows and a steady queue; returns the world."""
     sim, site, central, ledger = make_site()
-    I.MaintenanceSchedule(
-        sim, site.scheduler, period=2 * DAY, duration=6 * HOUR,
-        first=12 * HOUR, lead=8 * HOUR,
-    )
+    # 6-hour windows every 2 days, each announced 8 hours ahead.
+    sim.process(announce_drains(
+        sim, site.scheduler, first=12 * HOUR, period=2 * DAY,
+        duration=6 * HOUR, lead=8 * HOUR, until=8 * DAY,
+    ))
     injector = I.NodeFailureInjector(
         sim, site.scheduler, np.random.default_rng(seed),
         node_mtbf=30 * HOUR,  # flaky enough that kills land inside drains
@@ -157,7 +171,6 @@ def test_no_strikes_on_nodes_inside_active_maintenance_window():
     victim = job(cores=8, walltime=30 * HOUR)  # 2 of 8 nodes busy
     site.submit(victim)
     sim.run(until=0.1 * HOUR)  # job is running before the window opens
-    from repro.infra.scheduler.base import Reservation
     site.scheduler.add_reservation(
         Reservation(start=sim.now, end=10 * HOUR, nodes=8, access=None,
                     label="emergency-pm")

@@ -66,7 +66,6 @@ def test_queue_set_validation():
     with pytest.raises(ValueError):
         QueueSpec(name="bad", max_walltime=0.0, max_cores=8)
     queues = QueueSet([spec])
-    assert "q" in queues
     assert queues.get("q") is spec
     with pytest.raises(KeyError):
         queues.get("missing")

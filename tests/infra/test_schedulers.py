@@ -520,7 +520,7 @@ def test_policies_complete_all_jobs_within_capacity(specs, policy):
 
     def auditor(sim):
         while True:
-            if sched.free_nodes < 0 or sched.busy_nodes > cluster.nodes:
+            if not 0 <= sched.free_nodes <= cluster.nodes:
                 over_capacity.append(sim.now)
             yield sim.timeout(1.0)
 

@@ -43,10 +43,9 @@ def test_task_graph_construction_and_topo_order():
         graph.add_task(TaskSpec(name=name, cores=1, walltime=10.0, true_runtime=5.0))
     graph.add_dependency("a", "b")
     graph.add_dependency("b", "c")
-    assert graph.topological_order() == ["a", "b", "c"]
+    assert graph.tasks() == ["a", "b", "c"]
     assert graph.predecessors("c") == ["b"]
-    assert graph.successors("a") == ["b"]
-    assert len(graph) == 3
+    assert graph.predecessors("a") == []
 
 
 def test_task_graph_rejects_cycles_and_duplicates():
@@ -64,51 +63,21 @@ def test_task_graph_rejects_cycles_and_duplicates():
         graph.add_dependency("a", "zz")
 
 
-def test_critical_path_runtime():
-    graph = TaskGraph("g")
-    for name, runtime in [("a", 10.0), ("b", 20.0), ("c", 5.0)]:
-        graph.add_task(
-            TaskSpec(name=name, cores=1, walltime=100.0, true_runtime=runtime)
-        )
-    graph.add_dependency("a", "c")
-    graph.add_dependency("b", "c")
-    assert graph.critical_path_runtime() == 25.0
-
-
 def test_parameter_sweep_factory():
     graph = TaskGraph.parameter_sweep(
         "sweep", width=5, cores=2, walltime=HOUR, true_runtime=HOUR / 2
     )
-    assert len(graph) == 6  # 5 sweeps + merge
+    assert len(graph.tasks()) == 6  # 5 sweeps + merge
     merge = "sweep-merge"
     assert set(graph.predecessors(merge)) == {f"sweep-sweep-{i}" for i in range(5)}
     flat = TaskGraph.parameter_sweep(
         "flat", width=3, cores=1, walltime=HOUR, true_runtime=HOUR, with_merge=False
     )
-    assert len(flat) == 3
+    assert len(flat.tasks()) == 3
 
 
 def _task(name):
     return TaskSpec(name=name, cores=1, walltime=10.0, true_runtime=5.0)
-
-
-def test_topological_order_two_sources_feeding_a_diamond():
-    """Sources in insertion order, then each generation's freed children in
-    edge-insertion order (``right`` before ``left``), never sorted names."""
-    graph = TaskGraph("g")
-    for name in ("b-src", "a-src", "top", "left", "right", "bottom"):
-        graph.add_task(_task(name))
-    for producer, consumer in [
-        ("b-src", "top"), ("a-src", "top"), ("top", "right"),
-        ("top", "left"), ("left", "bottom"), ("right", "bottom"),
-    ]:
-        graph.add_dependency(producer, consumer)
-    assert graph.topological_order() == [
-        "b-src", "a-src", "top", "right", "left", "bottom",
-    ]
-    assert graph.successors("top") == ["right", "left"]
-    assert graph.predecessors("bottom") == ["left", "right"]
-    assert graph.predecessors("top") == ["b-src", "a-src"]
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +91,8 @@ def nx():
     edges=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
 )
 def test_task_graph_matches_networkx(nx, order, edges):
-    """Property: order, adjacency and cycle verdicts equal a networkx DiGraph
-    built from the same insertions."""
+    """Property: tasks, predecessors and cycle verdicts equal a networkx
+    DiGraph built from the same insertions."""
     names = [f"t{k}" for k in order]
     graph = TaskGraph("g")
     reference = nx.DiGraph()
@@ -141,10 +110,8 @@ def test_task_graph_matches_networkx(nx, order, edges):
         else:
             graph.add_dependency(producer, consumer)
     assert graph.tasks() == list(reference.nodes)
-    assert graph.topological_order() == list(nx.topological_sort(reference))
     for name in names:
         assert graph.predecessors(name) == list(reference.predecessors(name))
-        assert graph.successors(name) == list(reference.successors(name))
 
 
 # ------------------------------------------------------------------- engine
@@ -162,7 +129,7 @@ def test_workflow_executes_in_dependency_order():
     proc = engine.run(graph, user="alice", account="acct",
                       true_modality="ensemble")
     result = sim.run(until=proc)
-    assert result.succeeded
+    assert {job.state for job in result.jobs} == {JobState.COMPLETED}
     jobs = {j.attributes[AttributeKeys.WORKFLOW_ID]: j for j in result.jobs}
     assert len(result.jobs) == 2
     pre, main = result.jobs
@@ -179,7 +146,7 @@ def test_workflow_sweep_runs_wide_then_merges():
     )
     proc = engine.run(graph, user="alice", account="acct")
     result = sim.run(until=proc)
-    assert result.succeeded
+    assert {job.state for job in result.jobs} == {JobState.COMPLETED}
     assert len(result.jobs) == 9
     merge_job = result.jobs[-1]
     sweep_ends = [j.end_time for j in result.jobs[:-1]]

@@ -5,12 +5,10 @@ import json
 import pytest
 
 from repro.obs.export import (
-    chrome_trace_from_sidecar,
     chrome_trace_from_tracer,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.telemetry import Telemetry
 from repro.obs.trace import SimTracer
 
 
@@ -45,21 +43,6 @@ def test_tracer_export_validates_and_maps_types_to_tracks():
         if e["ph"] == "M" and e["name"] == "thread_name"
     }
     assert thread_names == {"worker", "outage"}
-
-
-def test_sidecar_export_rebases_and_validates():
-    telemetry = Telemetry(run_id="r")
-    telemetry.add_span("task", 1000.0, 2.0, worker=3, experiment="T1")
-    telemetry.add_span("task", 1010.0, 1.0)
-    telemetry.event("retry", key="k")
-    trace = chrome_trace_from_sidecar(telemetry.all_records())
-    validate_chrome_trace(trace)
-    complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-    assert min(e["ts"] for e in complete) == 0.0
-    assert {e["tid"] for e in complete} == {3, 0}
-    instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
-    assert len(instants) == 1
-    assert instants[0]["args"]["key"] == "k"
 
 
 def test_write_chrome_trace_writes_json(tmp_path):

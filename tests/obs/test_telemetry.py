@@ -10,7 +10,6 @@ from repro.obs.telemetry import (
     timings_lines,
     validate_sidecar,
 )
-from repro.obs.trace import SimTracer
 
 
 def _populated_telemetry():
@@ -32,24 +31,6 @@ def test_sidecar_roundtrip(tmp_path):
     assert kinds == ["event", "span", "summary"]
     summary = sidecar_summary(records)
     assert summary["metrics"]["runner.retries"] == 3
-
-
-def test_span_context_manager_measures(tmp_path):
-    telemetry = Telemetry()
-    with telemetry.span("stage:test", tag="x"):
-        pass
-    (record,) = telemetry.records
-    assert record["type"] == "span"
-    assert record["duration"] >= 0
-    assert record["tag"] == "x"
-
-
-def test_sim_summaries_embed_both_domains():
-    telemetry = Telemetry()
-    telemetry.add_sim_summary(SimTracer())
-    domains = [record["domain"] for record in telemetry.records]
-    assert domains == ["sim", "wall"]
-    validate_sidecar(telemetry.all_records())
 
 
 def test_validate_rejects_missing_header():

@@ -83,7 +83,7 @@ def test_artifact_mirrors_every_live_measurement(key, artifact, live_result):
     result = live_result
     assert artifact.records == result.records
     assert artifact.truth_by_job() == result.truth_by_job()
-    assert artifact.truth_by_identity() == result.truth_by_identity()
+    assert artifact.identity_truth == result.truth_by_identity()
     # Ordering matters too: dict iteration order feeds report rendering.
     assert list(artifact.active_truth_by_identity()) == list(
         result.active_truth_by_identity()

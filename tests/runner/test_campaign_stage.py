@@ -8,6 +8,7 @@ corrupts them (quarantine -> live fallback).
 """
 
 import dataclasses
+from concurrent.futures import Future
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.experiments.base import (
     plan_tasks,
     task_campaign_keys,
 )
-from repro.runner import ArtifactStore, ParallelRunner, ResultCache
+from repro.runner import ArtifactStore, ParallelRunner, ResultCache, parallel
 from repro.workloads.synthetic import CampaignKey
 
 
@@ -164,6 +165,46 @@ def test_parallel_store_simulates_each_key_once(tmp_path, reference):
     assert runner.campaign_stats["fallbacks"] == 0
     assert runner.campaign_stats["loads"] >= 1  # measured from the artifact
     assert _texts(outputs) == reference
+
+
+class _InlinePool:
+    """Stands in for the process pool: runs each submitted spec at once."""
+
+    made: list["_InlinePool"] = []
+
+    def __init__(self, max_workers):
+        self.specs = []
+        _InlinePool.made.append(self)
+
+    def submit(self, fn, spec):
+        self.specs.append(spec)
+        future = Future()
+        future.set_result(fn(spec))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_pool_tasks_release_a_campaign_after_its_last_reader(
+    tmp_path, reference, monkeypatch
+):
+    """Only the last measurement task reading a campaign releases it."""
+    _InlinePool.made.clear()
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _InlinePool)
+    runner = ParallelRunner(
+        jobs=2, use_cache=False, artifacts=ArtifactStore(root=tmp_path)
+    )
+    assert _texts(runner.run_many(_SHARED)) == reference
+    specs = [
+        spec
+        for pool in _InlinePool.made
+        for spec in pool.specs
+        if spec.task.experiment_id != CAMPAIGN_STAGE_ID
+    ]
+    (key,) = {key for spec in specs for key in task_campaign_keys(spec.task)}
+    assert [spec.release for spec in specs] == [()] * (len(specs) - 1) + [(key,)]
+    assert key not in _campaign_cache
 
 
 def test_existing_artifacts_are_reused_not_resimulated(tmp_path, reference):

@@ -58,14 +58,6 @@ def test_completed_keys_ignores_other_events(tmp_path):
     assert journal.completed_keys() == frozenset({"k1"})
 
 
-def test_failed_keys_latest_outcome_wins(tmp_path):
-    with RunJournal.create(tmp_path) as journal:
-        journal.record("task-failed", key="k1", kind="timeout")
-        journal.record("task-completed", key="k1")  # a later retry succeeded
-        journal.record("task-failed", key="k2", kind="exception")
-    assert journal.failed_keys() == frozenset({"k2"})
-
-
 def test_events_are_compact_sorted_json_lines(tmp_path):
     with RunJournal.create(tmp_path) as journal:
         journal.record("run-started", zulu=1, alpha=2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 def test_resource_grants_immediately_when_available():
@@ -120,38 +120,6 @@ def test_priority_orders_queue():
     assert log == ["high", "low"]
 
 
-def test_cancel_removes_pending_request():
-    sim = Simulator()
-    log = []
-
-    def holder(sim, res):
-        req = res.request()
-        yield req
-        yield sim.timeout(5.0)
-        res.release(req)
-
-    def impatient(sim, res):
-        yield sim.timeout(1.0)
-        req = res.request()
-        yield sim.timeout(1.0)  # give up before granted
-        req.cancel()
-        log.append("cancelled")
-
-    def patient(sim, res):
-        yield sim.timeout(2.0)
-        req = res.request()
-        yield req
-        log.append(("granted", sim.now))
-        res.release(req)
-
-    res = Resource(sim, capacity=1)
-    sim.process(holder(sim, res))
-    sim.process(impatient(sim, res))
-    sim.process(patient(sim, res))
-    sim.run()
-    assert ("granted", 5.0) in log and "cancelled" in log
-
-
 def test_request_validation():
     sim = Simulator()
     res = Resource(sim, capacity=2)
@@ -171,65 +139,6 @@ def test_release_of_ungranted_request_raises():
     assert first.triggered and not second.triggered
     with pytest.raises(RuntimeError):
         res.release(second)
-
-
-def test_store_fifo():
-    sim = Simulator()
-    log = []
-
-    def producer(sim, store):
-        for i in range(3):
-            yield sim.timeout(1.0)
-            store.put(i)
-
-    def consumer(sim, store):
-        for _ in range(3):
-            item = yield store.get()
-            log.append((sim.now, item))
-
-    store = Store(sim)
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert log == [(1.0, 0), (2.0, 1), (3.0, 2)]
-
-
-def test_store_get_with_filter():
-    sim = Simulator()
-    log = []
-
-    def producer(sim, store):
-        yield sim.timeout(1.0)
-        store.put("apple")
-        yield sim.timeout(1.0)
-        store.put("banana")
-
-    def consumer(sim, store):
-        item = yield store.get(filter=lambda x: x.startswith("b"))
-        log.append((sim.now, item))
-
-    store = Store(sim)
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert log == [(2.0, "banana")]
-    assert store.items == ("apple",)
-
-
-def test_store_buffered_item_served_immediately():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    log = []
-
-    def consumer(sim, store):
-        item = yield store.get()
-        log.append((sim.now, item))
-
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert log == [(0.0, "x")]
-    assert len(store) == 0
 
 
 @given(

@@ -39,14 +39,6 @@ def test_adding_streams_does_not_perturb_existing():
     assert second.stream("a").random(5).tolist() == expected
 
 
-def test_names_and_contains():
-    streams = RandomStreams(seed=0)
-    streams.stream("one")
-    assert "one" in streams
-    assert "two" not in streams
-    assert streams.names() == ("one",)
-
-
 # -- seed derivation -----------------------------------------------------------
 
 def test_derive_seed_is_deterministic():
@@ -96,4 +88,3 @@ def test_buffered_streams_differ_by_name_and_seed():
 def test_buffered_stream_instances_are_cached():
     streams = RandomStreams(seed=17)
     assert streams.stream("think") is streams.stream("think")
-    assert "think" in streams

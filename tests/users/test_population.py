@@ -1,5 +1,7 @@
 """Tests for fields, profiles and population construction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,7 @@ def test_build_population_accounts_and_ground_truth():
     population = build_population(
         spec, np.random.default_rng(3), providers, ledger
     )
-    counts = population.true_user_counts()
+    counts = Counter(user.modality for user in population.users)
     assert counts == spec.user_counts()
     # Non-gateway users have personal accounts; gateway users do not.
     for user in population.users:
