@@ -551,8 +551,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "list":
         for experiment_id in sorted(registry):
-            doc = (registry[experiment_id].__module__ or "").rsplit(".", 1)[-1]
-            print(f"{experiment_id:4s} {doc}")
+            module = registry[experiment_id].execute.__module__.rsplit(".", 1)[-1]
+            print(f"{experiment_id:4s} {module}")
         return 0
 
     if args.command == "run-all":

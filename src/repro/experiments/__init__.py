@@ -1,8 +1,9 @@
 """The experiment suite: one module per table/figure of DESIGN.md §4.
 
-Each experiment exposes ``run(**knobs) -> ExperimentOutput``; the registry
-maps experiment ids to those functions so benchmarks, examples and the
-command line can share one implementation.
+Importing the package registers every experiment: the registry maps each
+id to its task plan (:class:`repro.experiments.base.TaskPlan`), and
+:func:`run_experiment` runs one serially, so benchmarks, examples, the
+command line and the parallel runner share one implementation.
 """
 
 from repro.experiments.base import ExperimentOutput, campaign, registry, run_experiment

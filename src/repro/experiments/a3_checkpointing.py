@@ -23,15 +23,13 @@ from repro.infra.resilience import saved_progress
 from repro.experiments.base import (
     ExperimentOutput,
     ExperimentTask,
-    register,
     register_tasks,
-    run_via_tasks,
 )
 from repro.infra.job import Job, JobState
 from repro.infra.units import DAY, HOUR
 from repro.sim import RandomStreams, Simulator
 
-__all__ = ["run"]
+__all__ = ["plan", "execute", "merge"]
 
 _SEED = 31
 _MTBFS_HOURS = (250.0, 1000.0, 4000.0)
@@ -133,10 +131,8 @@ def plan(
     return tasks
 
 
-def execute(params: dict) -> dict:
-    return _run_campaign(
-        params["mtbf_hours"] * HOUR, params["checkpoint_interval"], params["seed"]
-    )
+def execute(mtbf_hours: float, checkpoint_interval: float | None, seed: int) -> dict:
+    return _run_campaign(mtbf_hours * HOUR, checkpoint_interval, seed)
 
 
 def merge(
@@ -182,17 +178,3 @@ def merge(
 
 
 register_tasks("A3", plan=plan, execute=execute, merge=merge)
-
-
-@register("A3")
-def run(
-    seed: int = _SEED,
-    mtbfs_hours: tuple[float, ...] = _MTBFS_HOURS,
-    checkpoint_interval: float = _CHECKPOINT_INTERVAL,
-) -> ExperimentOutput:
-    return run_via_tasks(
-        "A3",
-        seed=seed,
-        mtbfs_hours=mtbfs_hours,
-        checkpoint_interval=checkpoint_interval,
-    )

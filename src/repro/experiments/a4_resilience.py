@@ -27,9 +27,7 @@ from repro.core.report import ascii_table, counters_footer
 from repro.experiments.base import (
     ExperimentOutput,
     ExperimentTask,
-    register,
     register_tasks,
-    run_via_tasks,
 )
 from repro.infra.job import JobState
 from repro.infra.resilience import OutagePolicy
@@ -38,7 +36,7 @@ from repro.users.behavior import DEFAULT_RECOVERY, no_recovery
 from repro.users.population import PopulationSpec
 from repro.workloads.synthetic import ScenarioConfig, run_scenario
 
-__all__ = ["run"]
+__all__ = ["plan", "merge"]
 
 _SEED = 37
 _DAYS = 20.0
@@ -165,12 +163,6 @@ def plan(
     return tasks
 
 
-def execute(params: dict) -> dict:
-    return _run_cell(
-        params["mtbf_days"], params["recovery"], params["days"], params["seed"]
-    )
-
-
 def merge(
     partials: list[dict],
     seed: int = _SEED,
@@ -254,20 +246,4 @@ def merge(
     )
 
 
-register_tasks("A4", plan=plan, execute=execute, merge=merge)
-
-
-@register("A4")
-def run(
-    seed: int = _SEED,
-    days: float = _DAYS,
-    mtbf_days: tuple[float, ...] = _MTBF_DAYS,
-    recoveries: tuple[str, ...] = _RECOVERIES,
-) -> ExperimentOutput:
-    return run_via_tasks(
-        "A4",
-        seed=seed,
-        days=days,
-        mtbf_days=mtbf_days,
-        recoveries=recoveries,
-    )
+register_tasks("A4", plan=plan, execute=_run_cell, merge=merge)

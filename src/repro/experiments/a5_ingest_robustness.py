@@ -37,16 +37,14 @@ from repro.core.report import ascii_table, counters_footer
 from repro.experiments.base import (
     ExperimentOutput,
     ExperimentTask,
-    register,
     register_tasks,
-    run_via_tasks,
 )
 from repro.infra.amie import IngestRecoveryPolicy, PacketFaultRegime
 from repro.infra.units import MINUTE
 from repro.users.population import PopulationSpec
 from repro.workloads.synthetic import ScenarioConfig, run_scenario
 
-__all__ = ["run"]
+__all__ = ["plan", "merge"]
 
 _SEED = 53
 _DAYS = 15.0
@@ -207,12 +205,6 @@ def plan(
     return tasks
 
 
-def execute(params: dict) -> dict:
-    return _run_cell(
-        params["regime"], params["recovery"], params["days"], params["seed"]
-    )
-
-
 def merge(
     partials: list[dict],
     seed: int = _SEED,
@@ -306,20 +298,4 @@ def merge(
     )
 
 
-register_tasks("A5", plan=plan, execute=execute, merge=merge)
-
-
-@register("A5")
-def run(
-    seed: int = _SEED,
-    days: float = _DAYS,
-    regimes: tuple[str, ...] = _REGIMES,
-    recoveries: tuple[str, ...] = _RECOVERIES,
-) -> ExperimentOutput:
-    return run_via_tasks(
-        "A5",
-        seed=seed,
-        days=days,
-        regimes=regimes,
-        recoveries=recoveries,
-    )
+register_tasks("A5", plan=plan, execute=_run_cell, merge=merge)

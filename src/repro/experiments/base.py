@@ -1,21 +1,20 @@
 """Experiment plumbing: output container, registry, task plans, campaign readers.
 
-Two execution protocols coexist:
+Every experiment is a *task plan* in one :data:`registry`: ``plan(**knobs)``
+lists the independent units of work the experiment is made of (one per
+replicate or sweep point), ``execute(**params)`` computes one unit, and
+``merge(partials, **knobs)`` assembles the output from the partials in
+task order.  There are two ways in:
 
-* the classic ``run(**knobs) -> ExperimentOutput`` registry, used by
-  ``run_experiment`` — every experiment supports it;
-* an optional *task plan* (``register_tasks``): the experiment declares the
-  independent units of work it is made of (one per replicate/sweep point),
-  a pure ``execute(params)`` that computes one unit, and a deterministic
-  ``merge(partials, **knobs)`` that assembles the final output.  The
-  parallel runner (:mod:`repro.runner`) fans the tasks out over worker
-  processes; ``plan_tasks``/``merge_tasks`` below are its only entry points
-  into this module, so serial and parallel execution share one code path
-  and produce byte-identical output.
+* ``@register(id)`` on a whole-experiment ``run(**knobs) -> ExperimentOutput``
+  makes it a one-task plan whose task params are the knobs;
+* ``register_tasks(id, plan, execute, merge)`` declares a fan-out (R1's
+  seeds, F6's coverages, the A3/A4/A5 sweep cells).
 
-Experiments without a declared plan get a synthesized single-task plan that
-wraps their ``run`` function, so the runner can treat every experiment
-uniformly (coarse-grained parallelism across experiments at worst).
+:func:`run_experiment` runs a plan serially: plan, execute in task order,
+merge.  The parallel runner (:mod:`repro.runner`) executes the same tasks
+across worker processes through :func:`plan_tasks`, :func:`execute_task`
+and :func:`merge_tasks`, so both produce byte-identical output.
 
 Adding a campaign reader — an experiment that measures a shared campaign
 instead of simulating its own rig — takes one decorator.  Write the body
@@ -41,31 +40,25 @@ are then the reader's knobs.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterable, Optional
 
 from repro.workloads import run_scenario
-from repro.workloads.synthetic import (
-    CAMPAIGN_DAYS,
-    CAMPAIGN_SEED,
-    CampaignArtifact,
-    CampaignKey,
-)
+from repro.workloads.synthetic import CAMPAIGN_SEED, CampaignArtifact, CampaignKey
 
 __all__ = [
     "ExperimentOutput",
     "ExperimentTask",
     "TaskPlan",
     "registry",
-    "task_plans",
     "campaign_readers",
     "register",
     "register_tasks",
     "reads_campaign",
     "reader_campaign",
     "run_experiment",
-    "run_via_tasks",
     "plan_tasks",
     "plan_timeout",
     "execute_task",
@@ -74,8 +67,6 @@ __all__ = [
     "forget_campaigns",
     "task_campaign_keys",
     "CAMPAIGN_STAGE_ID",
-    "CAMPAIGN_DAYS",
-    "CAMPAIGN_SEED",
 ]
 
 #: Pseudo experiment id of the runner's stage-1 (simulate-a-campaign) tasks.
@@ -93,31 +84,6 @@ class ExperimentOutput:
 
     def __str__(self) -> str:  # pragma: no cover - display convenience
         return f"== {self.experiment_id}: {self.title} ==\n{self.text}"
-
-
-registry: dict[str, Callable[..., ExperimentOutput]] = {}
-
-
-def register(experiment_id: str):
-    """Decorator: add an experiment ``run`` function to the registry."""
-
-    def wrap(func: Callable[..., ExperimentOutput]):
-        if experiment_id in registry:
-            raise ValueError(f"duplicate experiment id {experiment_id!r}")
-        registry[experiment_id] = func
-        return func
-
-    return wrap
-
-
-def run_experiment(experiment_id: str, **knobs) -> ExperimentOutput:
-    try:
-        func = registry[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(registry)}"
-        ) from None
-    return func(**knobs)
 
 
 @dataclass(frozen=True)
@@ -139,7 +105,7 @@ class ExperimentTask:
 
 @dataclass(frozen=True)
 class TaskPlan:
-    """A declared decomposition of one experiment into tasks.
+    """One experiment as tasks: ``plan`` them, ``execute`` each, ``merge``.
 
     ``timeout`` (wall-clock seconds per task) overrides the runner-level
     ``--task-timeout`` for this experiment's tasks — long fault-injected
@@ -148,63 +114,81 @@ class TaskPlan:
     """
 
     plan: Callable[..., list[ExperimentTask]]
-    execute: Callable[[dict], Any]
+    execute: Callable[..., Any]
     merge: Callable[..., ExperimentOutput]
     timeout: Optional[float] = None
 
 
-task_plans: dict[str, TaskPlan] = {}
+#: Every experiment id's task plan.
+registry: dict[str, TaskPlan] = {}
 
 
 def register_tasks(
     experiment_id: str,
     plan: Callable[..., list[ExperimentTask]],
-    execute: Callable[[dict], Any],
+    execute: Callable[..., Any],
     merge: Callable[..., ExperimentOutput],
     timeout: Optional[float] = None,
 ) -> None:
-    """Declare ``experiment_id``'s task decomposition (see module docstring)."""
-    if experiment_id in task_plans:
-        raise ValueError(f"duplicate task plan for {experiment_id!r}")
+    """Register ``experiment_id`` as a task plan (see module docstring)."""
+    if experiment_id in registry:
+        raise ValueError(f"duplicate experiment id {experiment_id!r}")
     if timeout is not None and timeout <= 0:
         raise ValueError(f"{experiment_id}: task timeout must be positive")
-    task_plans[experiment_id] = TaskPlan(
+    registry[experiment_id] = TaskPlan(
         plan=plan, execute=execute, merge=merge, timeout=timeout
     )
 
 
-def plan_timeout(experiment_id: str) -> Optional[float]:
-    """The experiment's declared per-task timeout override (None = defer)."""
-    declared = task_plans.get(experiment_id)
-    return declared.timeout if declared is not None else None
+def register(experiment_id: str):
+    """Decorator: register a whole-experiment ``run`` as a one-task plan."""
+
+    def wrap(run: Callable[..., ExperimentOutput]):
+        register_tasks(
+            experiment_id,
+            plan=functools.partial(_one_task, experiment_id),
+            execute=run,
+            merge=_only_partial,
+        )
+        return run
+
+    return wrap
 
 
-def _default_plan(experiment_id: str, **knobs) -> list[ExperimentTask]:
-    """Synthesized one-task plan for experiments without a declared one."""
+def _one_task(experiment_id: str, **knobs) -> list[ExperimentTask]:
+    """A whole experiment's plan: one task whose params are the knobs."""
     # The seed field is part of the cache key; when the experiment runs on
     # its internal default seed (no knob given) any stable value works —
     # the default itself is code, covered by the store's code version.
     seed = int(knobs.get("seed", CAMPAIGN_SEED))
-    return [
-        ExperimentTask(
-            experiment_id=experiment_id,
-            index=0,
-            params=dict(knobs, __whole__=experiment_id),
-            seed=seed,
-        )
-    ]
+    return [ExperimentTask(experiment_id, index=0, params=knobs, seed=seed)]
+
+
+def _only_partial(partials: list, **_knobs) -> ExperimentOutput:
+    (output,) = partials
+    return output
+
+
+def run_experiment(experiment_id: str, **knobs) -> ExperimentOutput:
+    """Run one experiment serially: plan, execute in task order, merge."""
+    tasks = plan_tasks(experiment_id, **knobs)
+    partials = [execute_task(task) for task in tasks]
+    return merge_tasks(experiment_id, partials, **knobs)
+
+
+def plan_timeout(experiment_id: str) -> Optional[float]:
+    """The experiment's declared per-task timeout override (None = defer)."""
+    declared = registry.get(experiment_id)
+    return declared.timeout if declared is not None else None
 
 
 def plan_tasks(experiment_id: str, **knobs) -> list[ExperimentTask]:
-    """The experiment's task list (declared, or the synthesized default)."""
+    """The experiment's task list, checked for ids and contiguous indices."""
     if experiment_id not in registry:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {sorted(registry)}"
         )
-    declared = task_plans.get(experiment_id)
-    if declared is None:
-        return _default_plan(experiment_id, **knobs)
-    tasks = declared.plan(**knobs)
+    tasks = registry[experiment_id].plan(**knobs)
     for position, task in enumerate(tasks):
         if task.index != position or task.experiment_id != experiment_id:
             raise ValueError(
@@ -217,14 +201,9 @@ def plan_tasks(experiment_id: str, **knobs) -> list[ExperimentTask]:
 
 def execute_task(task: ExperimentTask) -> Any:
     """Compute one task's partial result (pure; safe in a worker process)."""
-    params = dict(task.params)
-    stage_key = params.pop(CAMPAIGN_STAGE_ID, None)
-    if stage_key is not None:
-        return _execute_campaign_stage(stage_key)
-    whole = params.pop("__whole__", None)
-    if whole is not None:
-        return registry[whole](**params)
-    return task_plans[task.experiment_id].execute(params)
+    if task.experiment_id == CAMPAIGN_STAGE_ID:
+        return _execute_campaign_stage(task.params[CAMPAIGN_STAGE_ID])
+    return registry[task.experiment_id].execute(**task.params)
 
 
 def merge_tasks(
@@ -236,18 +215,7 @@ def merge_tasks(
     that order, which is what makes parallel output byte-identical to
     serial output no matter how the scheduler interleaved the tasks.
     """
-    declared = task_plans.get(experiment_id)
-    if declared is None:
-        (output,) = partials
-        return output
-    return declared.merge(partials, **knobs)
-
-
-def run_via_tasks(experiment_id: str, **knobs) -> ExperimentOutput:
-    """Serial reference path: plan, execute in index order, merge."""
-    tasks = plan_tasks(experiment_id, **knobs)
-    partials = [execute_task(task) for task in tasks]
-    return merge_tasks(experiment_id, partials, **knobs)
+    return registry[experiment_id].merge(partials, **knobs)
 
 
 #: The process's one campaign memo, keyed by canonical :class:`CampaignKey`.
@@ -349,6 +317,7 @@ def reads_campaign(experiment_id: str, **defaults):
         campaign_readers[experiment_id] = defaults
         signature = inspect.signature(body)
 
+        @functools.wraps(body)
         def read(**knobs):
             key, rest = reader_campaign(experiment_id, knobs)
             signature.bind(None, **rest)  # a misspelt knob fails before simulating
@@ -363,8 +332,7 @@ def task_campaign_keys(task: ExperimentTask) -> tuple[CampaignKey, ...]:
     """The campaign ``task`` reads (() for an experiment that reads none)."""
     if task.experiment_id not in campaign_readers:
         return ()
-    params = {k: v for k, v in task.params.items() if k != "__whole__"}
-    return (reader_campaign(task.experiment_id, params)[0],)
+    return (reader_campaign(task.experiment_id, task.params)[0],)
 
 
 def _execute_campaign_stage(key_fields: dict) -> dict:

@@ -17,13 +17,11 @@ from repro.experiments.base import (
     ExperimentOutput,
     ExperimentTask,
     reads_campaign,
-    register,
     register_tasks,
-    run_via_tasks,
 )
 from repro.workloads.synthetic import CampaignArtifact
 
-__all__ = ["run"]
+__all__ = ["plan", "execute", "merge"]
 
 _DAYS = 45.0
 _SEED = 1
@@ -125,15 +123,4 @@ def merge(
     )
 
 
-register_tasks(
-    "F6", plan=plan, execute=lambda params: execute(**params), merge=merge
-)
-
-
-@register("F6")
-def run(
-    days: float = _DAYS,
-    seed: int = _SEED,
-    coverages: tuple[float, ...] = _COVERAGES,
-) -> ExperimentOutput:
-    return run_via_tasks("F6", days=days, seed=seed, coverages=coverages)
+register_tasks("F6", plan=plan, execute=execute, merge=merge)

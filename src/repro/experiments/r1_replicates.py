@@ -12,8 +12,8 @@ every replicate.
 
 R1 is the blueprint replicate sweep: each seed is an independent simulation,
 declared as one :class:`ExperimentTask` so the parallel runner can fan the
-replicates out across worker processes.  ``run`` goes through the same
-plan/execute/merge path serially, keeping the two execution modes
+replicates out across worker processes; ``run_experiment("R1")`` runs the
+same plan/execute/merge path serially, keeping the two execution modes
 byte-identical.
 """
 
@@ -26,13 +26,11 @@ from repro.experiments.base import (
     ExperimentOutput,
     ExperimentTask,
     reads_campaign,
-    register,
     register_tasks,
-    run_via_tasks,
 )
 from repro.workloads.synthetic import CampaignArtifact
 
-__all__ = ["run"]
+__all__ = ["plan", "execute", "merge"]
 
 _DAYS = 45.0
 _SEEDS = (1, 2, 3, 4, 5)
@@ -121,17 +119,4 @@ def merge(
     )
 
 
-register_tasks(
-    "R1", plan=plan, execute=lambda params: execute(**params), merge=merge
-)
-
-
-@register("R1")
-def run(
-    days: float = _DAYS,
-    seeds: tuple[int, ...] = _SEEDS,
-    population_scale: float = _POPULATION_SCALE,
-) -> ExperimentOutput:
-    return run_via_tasks(
-        "R1", days=days, seeds=seeds, population_scale=population_scale
-    )
+register_tasks("R1", plan=plan, execute=execute, merge=merge)

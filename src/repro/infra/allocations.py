@@ -36,7 +36,6 @@ class Allocation:
     budget_nu: float
     users: set[str] = field(default_factory=set)
     charged_nu: float = 0.0
-    overdraft_allowed: bool = True
     field_of_science: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -46,19 +45,14 @@ class Allocation:
     def charge(self, nu: float) -> float:
         """Charge ``nu`` normalized units; returns the amount charged.
 
-        With ``overdraft_allowed`` (the default — TeraGrid charged jobs that
-        ran even if they overran the award) the full amount is charged; the
-        account simply goes negative.  Otherwise the charge is clipped to the
-        remaining balance.
+        The full amount is always charged: TeraGrid charged jobs that ran
+        even if they overran the award, and the account simply goes
+        negative.
         """
         if nu < 0:
             raise ValueError(f"charge must be >= 0, got {nu}")
-        if self.overdraft_allowed:
-            amount = nu
-        else:
-            amount = min(nu, max(self.budget_nu - self.charged_nu, 0.0))
-        self.charged_nu += amount
-        return amount
+        self.charged_nu += nu
+        return nu
 
 
 class AllocationLedger:
@@ -73,7 +67,6 @@ class AllocationLedger:
         kind: AllocationType,
         budget_nu: float,
         users: set[str] | None = None,
-        overdraft_allowed: bool = True,
         field_of_science: Optional[str] = None,
     ) -> Allocation:
         if account_id in self._accounts:
@@ -83,7 +76,6 @@ class AllocationLedger:
             kind=kind,
             budget_nu=budget_nu,
             users=set(users or ()),
-            overdraft_allowed=overdraft_allowed,
             field_of_science=field_of_science,
         )
         self._accounts[account_id] = allocation

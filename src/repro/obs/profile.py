@@ -58,7 +58,7 @@ def profile_experiment(
 
     base._campaign_cache.clear()
     with traced_simulation(span_cap=span_cap) as tracer:
-        base.run_via_tasks(experiment_id, **(knobs or {}))
+        base.run_experiment(experiment_id, **(knobs or {}))
     return tracer
 
 

@@ -1,9 +1,10 @@
 """Parallel experiment execution: fault-tolerant fan-out plus result caching.
 
-The runner treats every experiment as a list of independent tasks (declared
-via :func:`repro.experiments.base.register_tasks`, or a synthesized
-single-task plan) and executes them either inline (``jobs=1``) or across a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Partial results are merged
+The runner treats every experiment as the list of independent tasks its
+registered plan returns (:data:`repro.experiments.base.registry`) and
+executes them either inline (``jobs=1``) or across a
+:class:`concurrent.futures.ProcessPoolExecutor`, each attempt through
+:func:`repro.runner.parallel.run_task_hardened`.  Partial results are merged
 in task-index order, so the assembled output is byte-identical regardless of
 worker count or scheduling order.  One checksummed on-disk store
 (:mod:`repro.runner.cache`) holds two namespaces under one root: task

@@ -12,13 +12,14 @@ A torn or bit-flipped artifact is quarantined on load and treated as a
 miss: the caller falls back to a live simulation, so corruption can slow a
 sweep down but never change its bytes.
 
-Per-process plumbing: the runner scopes the store with
-:func:`activated_store`, and so does a worker for each task;
+Per-process plumbing: each task runs with the store its
+:class:`~repro.runner.parallel.WorkerSpec` carries scoped as the active
+one (:func:`activated_store`), in a pool worker or in the driver alike;
 :func:`repro.experiments.base.campaign` resolves through the active store.
 Its campaign memo is the only per-process memo, so a process deserializes
 each artifact at most once no matter how many measurement tasks it
 executes.  The module-level :data:`STATS` counters let the runner aggregate
-dedup/fallback/load-time telemetry across processes via worker outcomes.
+dedup/fallback/load-time telemetry across processes via task outcomes.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class ArtifactStats:
     quarantined: int = 0
 
 
-#: Process-global counters.  Worker processes report deltas back to the
-#: driver inside :class:`~repro.runner.worker.WorkerOutcome`.
+#: Process-global counters.  Every task execution reports its delta to the
+#: driver inside its :class:`~repro.runner.parallel.WorkerOutcome`.
 STATS = ArtifactStats()
 
 _STAT_FIELDS = (

@@ -8,13 +8,18 @@ partials strictly in task-index order (never completion order).
 
 Fault-tolerance contract (the reason this module looks the way it does):
 
+* **One executor.**  :func:`run_task_hardened` is the only code that runs
+  a task: in a pool worker, inline (``jobs=1``) and in a degraded attempt
+  in this process alike.  It returns a :class:`WorkerOutcome` instead of
+  raising, and the runner settles every outcome the same way.
 * **Transient failures are invisible in the output.**  A killed worker
   (``BrokenProcessPool``), a task that blew its wall-clock limit, or a
   wedged pool is retried under a :class:`~repro.runner.retry.RetryPolicy`
-  (bounded attempts, exponential backoff, deterministic jitter).  When the
-  retries are exhausted, the task gets one final *degraded* attempt inline
+  (bounded attempts, exponential backoff, deterministic jitter).  When a
+  pool task's retries are exhausted, it gets one final *degraded* attempt
   in this process — so infrastructure trouble can slow a sweep down but
-  never change its bytes.
+  never change its bytes.  An inline task has nowhere safer to go: its
+  last timeout is recorded as a failure.
 * **Task exceptions are contained, never retried.**  The task's own raise
   is deterministic; it is recorded as a structured
   :class:`~repro.runner.retry.TaskFailure` and the experiment it belongs to
@@ -33,18 +38,19 @@ Fault-tolerance contract (the reason this module looks the way it does):
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.experiments.base import (
     CAMPAIGN_STAGE_ID,
     ExperimentOutput,
     ExperimentTask,
     execute_task,
+    forget_campaigns,
     merge_tasks,
     plan_tasks,
     plan_timeout,
@@ -58,6 +64,7 @@ from repro.runner.artifacts import (
     stats_snapshot,
 )
 from repro.runner.cache import CacheStats, ResultCache
+from repro.runner.chaos import chaos_from_env
 from repro.runner.journal import RunJournal, task_key
 from repro.runner.retry import (
     FAILURE_EXCEPTION,
@@ -68,20 +75,115 @@ from repro.runner.retry import (
     TaskTimeout,
     wall_clock_limit,
 )
-from repro.runner.worker import (
-    OUTCOME_OK,
-    OUTCOME_TIMEOUT,
-    WorkerSpec,
-    run_task_hardened,
-)
 
-__all__ = ["ParallelRunner", "resolve_jobs"]
+__all__ = [
+    "ParallelRunner",
+    "WorkerOutcome",
+    "WorkerSpec",
+    "resolve_jobs",
+    "run_task_hardened",
+]
 
 #: Environment override for the default worker count.
 JOBS_ENV = "REPRO_JOBS"
 
 #: Pool deaths tolerated before permanently degrading to serial execution.
 MAX_POOL_DEATHS = 5
+
+OUTCOME_OK = "ok"
+OUTCOME_TIMEOUT = "timeout"
+OUTCOME_ERROR = "error"
+
+
+@dataclass(frozen=True)
+class WorkerSpec:
+    """Everything one hardened execution needs (picklable)."""
+
+    task: ExperimentTask
+    timeout: Optional[float]  # wall-clock seconds; None = unlimited
+    attempt: int  # 1-based try number (keys the chaos draws)
+    task_key: str  # stable identity for chaos/backoff derivations
+    #: campaign artifact store; None = two-stage mode disabled
+    store: Optional[ArtifactStore] = None
+    #: trace the task's simulations and ship the sim-domain summary back
+    trace_sim: bool = False
+    #: campaigns no later task of the round reads: dropped from this
+    #: worker's memo once the task is done
+    release: tuple = ()
+
+
+@dataclass(frozen=True)
+class WorkerOutcome:
+    """What came back: a value, a timeout, or the task's own exception."""
+
+    status: str  # OUTCOME_OK | OUTCOME_TIMEOUT | OUTCOME_ERROR
+    value: Any = None
+    error_type: str = ""
+    message: str = ""
+    elapsed: float = 0.0
+    #: wall-clock epoch when the execution started — places its span on
+    #: the run timeline (telemetry only)
+    started_at: float = 0.0
+    #: artifact-store counter deltas from this execution (loads, load
+    #: seconds, simulations, fallbacks, ...); empty = nothing happened
+    artifact_stats: Optional[dict] = None
+    #: deterministic sim-tracer slice of this execution (``trace_sim`` only);
+    #: a pure function of the task, so identical at any ``--jobs`` value
+    sim_summary: Optional[dict] = None
+
+
+def run_task_hardened(spec: WorkerSpec) -> WorkerOutcome:
+    """Run one attempt of a task: chaos, time limit, structured outcome.
+
+    The only code that executes a task, in a pool worker and in the driver
+    alike.  It scopes ``spec.store`` as the active store, applies the chaos
+    harness (kills and hangs fire only in pool workers), enforces the
+    task's wall-clock limit, and **returns** the task's exception instead
+    of raising it: one crossing the pickle boundary as an exception would
+    be indistinguishable from worker damage, and the driver must treat the
+    two oppositely (record vs retry).  In the driver, ``KeyboardInterrupt``
+    and ``SystemExit`` still escape.
+    """
+    started = time.monotonic()
+    started_wall = time.time()
+    stats_before = stats_snapshot()
+    chaos = chaos_from_env()
+    value = sim_summary = None
+    status, error_type, message = OUTCOME_OK, "", ""
+    try:
+        with activated_store(spec.store), wall_clock_limit(spec.timeout):
+            if chaos.active:
+                # May os._exit (kill) or sleep (hang) — inside the limit, so
+                # an injected hang surfaces as an ordinary task timeout.
+                chaos.pre_task(spec.task_key, spec.attempt)
+            if spec.trace_sim:
+                from repro.obs.trace import traced_simulation
+
+                with traced_simulation() as tracer:
+                    value = execute_task(spec.task)
+                # Only completed executions report: a partial trace from an
+                # interrupted task would not be seed-stable.
+                sim_summary = tracer.sim_summary()
+            else:
+                value = execute_task(spec.task)
+    except TaskTimeout as exc:
+        status, message = OUTCOME_TIMEOUT, str(exc)
+    except BaseException as exc:  # the task's own failure: record, never retry
+        if not isinstance(exc, Exception) and multiprocessing.parent_process() is None:
+            raise  # Ctrl-C or an exit request stops the driver, not a task
+        status, error_type, message = OUTCOME_ERROR, type(exc).__name__, str(exc)
+    finally:
+        forget_campaigns(spec.release)
+    return WorkerOutcome(
+        status=status,
+        value=value,
+        error_type=error_type,
+        message=message,
+        elapsed=time.monotonic() - started,
+        started_at=started_wall,
+        artifact_stats=stats_delta(stats_before),
+        sim_summary=sim_summary,
+    )
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -103,8 +205,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 class ParallelRunner:
     """Run experiments as task fan-outs with caching and fault tolerance.
 
-    ``jobs=1`` executes inline in this process (sharing the in-process
-    campaign memo exactly like the classic serial path); ``jobs>1`` uses a
+    ``jobs=1`` executes inline in this process (sharing its campaign memo
+    with :func:`~repro.experiments.base.run_experiment`); ``jobs>1`` uses a
     :class:`~concurrent.futures.ProcessPoolExecutor` with crash containment.
     ``cache=None`` with ``use_cache=True`` builds the default on-disk cache;
     ``use_cache=False`` disables caching entirely.
@@ -198,25 +300,20 @@ class ParallelRunner:
         DAG: the distinct campaigns the planned tasks depend on are
         simulated exactly once each (stage 1, parallel across campaigns),
         then the measurement tasks fan out over the stored artifacts
-        (stage 2).  The store stays active in this process too, so inline
-        and degraded executions resolve campaigns identically to workers.
+        (stage 2).  Every execution, wherever it runs, resolves campaigns
+        through the store its :class:`WorkerSpec` carries.
         """
-        stats_before = stats_snapshot()
-        with activated_store(self.artifacts):
-            started = time.monotonic()
-            wall_started = time.time()
-            plans: list[list[ExperimentTask]] = [
-                plan_tasks(experiment_id, **knobs)
-                for experiment_id, knobs in requests
-            ]
-            self.stage_seconds["plan"] = time.monotonic() - started
-            self._tel_span(
-                "stage:plan", wall_started, self.stage_seconds["plan"],
-                tasks=sum(len(tasks) for tasks in plans),
-            )
-            all_tasks = [task for tasks in plans for task in tasks]
-            partials = self._execute(all_tasks)
-        self._absorb_artifact_stats(stats_delta(stats_before))
+        started = time.monotonic()
+        wall_started = time.time()
+        plans: list[list[ExperimentTask]] = [
+            plan_tasks(experiment_id, **knobs) for experiment_id, knobs in requests
+        ]
+        self.stage_seconds["plan"] = time.monotonic() - started
+        self._tel_span(
+            "stage:plan", wall_started, self.stage_seconds["plan"],
+            tasks=sum(len(tasks) for tasks in plans),
+        )
+        partials = self._execute([task for tasks in plans for task in tasks])
         if self.telemetry is not None:
             self.telemetry.finish(self)
 
@@ -275,11 +372,7 @@ class ParallelRunner:
         if pending:
             started = time.monotonic()
             wall_started = time.time()
-            if self.jobs == 1:
-                for position, task in pending:
-                    self._run_inline(position, task, sink)
-            else:
-                self._run_pool(pending, sink)
+            self._run(pending, sink)
             self.stage_seconds["measure"] = time.monotonic() - started
             self._tel_span(
                 "stage:measure", wall_started, self.stage_seconds["measure"],
@@ -295,7 +388,7 @@ class ParallelRunner:
         (:func:`~repro.experiments.base.task_campaign_keys`).
         Keys whose artifact already exists are *reused*; the rest become
         synthetic ``__campaign__`` tasks run through the same
-        inline/pool/retry machinery as any other task (parallel across
+        executor and retries as any other task (parallel across
         campaigns).  Stage-1 failures are contained separately — a
         measurement task whose campaign is missing falls back to a live
         simulation in its own worker, so stage 1 can only cost time, never
@@ -332,12 +425,7 @@ class ParallelRunner:
         ]
         stage_sink: dict[int, object] = {}
         failures_before = len(self.failures)
-        entries = list(enumerate(stage_tasks))
-        if self.jobs == 1:
-            for position, task in entries:
-                self._run_inline(position, task, stage_sink)
-        else:
-            self._run_pool(entries, stage_sink)
+        self._run(list(enumerate(stage_tasks)), stage_sink)
         # Stage-1 failures are advisory (fallback keeps the sweep correct).
         self.campaign_failures.extend(self.failures[failures_before:])
         del self.failures[failures_before:]
@@ -349,93 +437,39 @@ class ParallelRunner:
                 self.campaign_stats["reused"] += 1
                 self._tel_count("runner.campaigns_reused")
 
-    # -- inline (jobs=1) path -------------------------------------------------
-    def _run_inline(self, position: int, task: ExperimentTask, sink: dict) -> None:
-        """Serial execution with the same containment guarantees as the pool.
+    # -- running tasks ---------------------------------------------------------
+    def _run(self, pending: Sequence[tuple[int, ExperimentTask]], sink: dict) -> None:
+        """Run ``pending`` to completion, in rounds.
 
-        Worker crashes cannot happen here; timeouts are enforced with the
-        shared alarm-based limit and retried under the policy (wall-clock
-        overruns can be environmental), task exceptions are recorded.
+        A round runs every queued attempt, in this process at ``jobs=1`` or
+        across a pool; the transient failures it returns go round again
+        after one deterministic backoff.
         """
-        key = self._key(task)
-        timeout = self._timeout_for(task)
-        attempt = 0
-        while True:
-            attempt += 1
-            self._journal("task-started", task, key, attempt=attempt, mode="inline")
-            wall_started = time.time()
-            try:
-                with wall_clock_limit(timeout):
-                    value = self._execute_traced(task, key)
-            except TaskTimeout as exc:
-                self._tel_event(
-                    "timeout", key=key, attempt=attempt, mode="inline"
-                )
-                if self.retry.should_retry(FAILURE_TIMEOUT, attempt):
-                    self.retries += 1
-                    self._tel_event(
-                        "retry", key=key, kind=FAILURE_TIMEOUT, attempt=attempt
-                    )
-                    self._tel_count("runner.retries")
-                    time.sleep(self.retry.delay(key, attempt))
-                    continue
-                value = self._failure(task, FAILURE_TIMEOUT, attempt, message=str(exc))
-            except Exception as exc:
-                value = self._failure(
-                    task, FAILURE_EXCEPTION, attempt,
-                    error_type=type(exc).__name__, message=str(exc),
-                )
-            self._tel_span(
-                "task", wall_started, time.time() - wall_started,
-                key=key, experiment=task.experiment_id, mode="inline",
-                attempt=attempt,
-                status="failed" if isinstance(value, TaskFailure) else "ok",
-            )
-            self._complete(position, task, key, value, attempts=attempt, sink=sink)
-            return
-
-    def _execute_traced(self, task: ExperimentTask, key: str):
-        """Execute in-process, recording the sim slice when tracing is on.
-
-        Mirrors the worker-side ``trace_sim`` path: a fresh tracer per
-        execution, and only completed executions report (a partial trace
-        from a timeout would not be seed-stable).
-        """
-        if not self.trace_sim:
-            return execute_task(task)
-        from repro.obs.trace import traced_simulation
-
-        with traced_simulation() as tracer:
-            value = execute_task(task)
-        self._tel_sim_summary(key, tracer.sim_summary())
-        return value
-
-    # -- pool path -------------------------------------------------------------
-    def _run_pool(
-        self, pending: Sequence[tuple[int, ExperimentTask]], sink: dict
-    ) -> None:
-        queue: deque[tuple[int, ExperimentTask, int]] = deque(
-            (position, task, 1) for position, task in pending
-        )
+        queue = [(position, task, 1) for position, task in pending]
         pool: Optional[ProcessPoolExecutor] = None
         try:
             while queue:
-                if self.pool_deaths >= self.max_pool_deaths:
+                requeue: list[tuple[int, ExperimentTask, int]] = []
+                if self.jobs == 1:
+                    for position, task, attempt in queue:
+                        self._run_here(
+                            position, task, attempt, "inline", requeue, sink
+                        )
+                elif self.pool_deaths >= self.max_pool_deaths:
                     # The pool machinery has proven itself untrustworthy on
                     # this host; finish the sweep serially in-process.
-                    while queue:
-                        position, task, attempt = queue.popleft()
+                    for position, task, attempt in queue:
                         self._degrade(position, task, attempt, sink)
-                    break
-                if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
-                requeue = self._run_round(pool, queue, sink)
-                if self._pool_broken:
-                    self._kill_pool(pool)
-                    pool = None
-                    self.pool_deaths += 1
-                    self._tel_event("pool-death", count=self.pool_deaths)
-                    self._tel_count("runner.pool_deaths")
+                else:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(max_workers=self.jobs)
+                    requeue = self._run_round(pool, queue, sink)
+                    if self._pool_broken:
+                        self._kill_pool(pool)
+                        pool = None
+                        self.pool_deaths += 1
+                        self._tel_event("pool-death", count=self.pool_deaths)
+                        self._tel_count("runner.pool_deaths")
                 if requeue:
                     self.retries += len(requeue)
                     # One deterministic backoff per round: the longest of the
@@ -446,28 +480,61 @@ class ParallelRunner:
                             for _position, task, attempt in requeue
                         )
                     )
-                    queue.extend(
-                        (position, task, attempt + 1)
-                        for position, task, attempt in requeue
-                    )
+                queue = [
+                    (position, task, attempt + 1)
+                    for position, task, attempt in requeue
+                ]
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
 
+    def _spec(
+        self, task: ExperimentTask, key: str, attempt: int, release: tuple = ()
+    ) -> WorkerSpec:
+        return WorkerSpec(
+            task=task,
+            timeout=self._timeout_for(task),
+            attempt=attempt,
+            task_key=key,
+            store=self.artifacts,
+            trace_sim=self.trace_sim,
+            release=release,
+        )
+
+    def _run_here(self, position, task, attempt, mode, requeue, sink) -> None:
+        """One attempt in this process, by the pool workers' own code.
+
+        Chaos kills and hangs are gated to pool workers and a worker crash
+        cannot take this process down, so only the task's own raise or its
+        time limit can fail it here.  No campaign is released: this
+        process's memo belongs to whoever called the runner.
+        """
+        key = self._key(task)
+        self._journal("task-started", task, key, attempt=attempt, mode=mode)
+        outcome = run_task_hardened(self._spec(task, key, attempt))
+        self._settle(position, task, attempt, outcome, mode, requeue, sink)
+
+    def _degrade(self, position, task, attempt, sink, kind="") -> None:
+        """Last resort for a pool task: one attempt here, never retried."""
+        key = self._key(task)
+        self.degraded_tasks.append(key)
+        self._tel_event("degraded", key=key, kind=kind, attempt=attempt)
+        self._tel_count("runner.degraded")
+        self._run_here(position, task, attempt, "degraded", None, sink)
+
     def _run_round(
         self,
         pool: ProcessPoolExecutor,
-        queue: deque,
+        batch: Sequence[tuple[int, ExperimentTask, int]],
         sink: dict,
     ) -> list[tuple[int, ExperimentTask, int]]:
-        """Submit everything queued; collect until done or the pool breaks.
+        """Submit the batch; collect until done or the pool breaks.
 
         Returns the transient failures to retry.  Sets ``self._pool_broken``
         when the pool must be killed and rebuilt.
         """
         self._pool_broken = False
-        batch = list(queue)
-        queue.clear()
+        batch = list(batch)
         # With a store, a worker releases each campaign after the batch's
         # last task that reads it; a later reader would load it again.
         last_reader = {}
@@ -480,17 +547,8 @@ class ParallelRunner:
         for batch_index, (position, task, attempt) in enumerate(batch):
             key = self._key(task)
             self._journal("task-started", task, key, attempt=attempt, mode="pool")
-            spec = WorkerSpec(
-                task=task,
-                timeout=self._timeout_for(task),
-                attempt=attempt,
-                task_key=key,
-                artifact_dir=(
-                    str(self.artifacts.root)
-                    if self.artifacts is not None
-                    else None
-                ),
-                trace_sim=self.trace_sim,
+            spec = self._spec(
+                task, key, attempt,
                 release=tuple(
                     campaign_key
                     for campaign_key, last in last_reader.items()
@@ -549,92 +607,59 @@ class ParallelRunner:
                         f"worker pool broke: {type(exc).__name__}: {exc}",
                     )
                     return requeue
-                self._absorb_outcome(
-                    position, task, attempt, outcome, requeue, sink
-                )
+                self._settle(position, task, attempt, outcome, "pool", requeue, sink)
         return requeue
 
-    def _absorb_outcome(
-        self, position, task, attempt, outcome, requeue, sink
-    ) -> None:
+    def _settle(self, position, task, attempt, outcome, mode, requeue, sink) -> None:
+        """Fold one attempt's outcome in, wherever it ran (``mode``)."""
         key = self._key(task)
-        self._absorb_artifact_stats(getattr(outcome, "artifact_stats", None))
-        if getattr(outcome, "started_at", 0.0):
-            self._tel_span(
-                "task", outcome.started_at, outcome.elapsed,
-                key=key, experiment=task.experiment_id, mode="pool",
-                attempt=attempt, status=outcome.status,
-            )
+        self._absorb_artifact_stats(outcome.artifact_stats)
+        self._tel_span(
+            "task", outcome.started_at, outcome.elapsed,
+            key=key, experiment=task.experiment_id, mode=mode,
+            attempt=attempt, status=outcome.status,
+        )
         if outcome.status == OUTCOME_OK:
-            self._tel_sim_summary(key, getattr(outcome, "sim_summary", None))
-            self._complete(position, task, key, outcome.value,
-                           attempts=attempt, sink=sink)
-        elif outcome.status == OUTCOME_TIMEOUT:
-            self._note_transient(
-                [(position, task, attempt)], requeue, sink,
-                FAILURE_TIMEOUT, outcome.message,
-            )
-        else:  # the task's own exception: contained, never retried
+            self._tel_sim_summary(key, outcome.sim_summary)
+            value = outcome.value
+        elif outcome.status == OUTCOME_ERROR:  # contained, never retried
             value = self._failure(
                 task, FAILURE_EXCEPTION, attempt,
                 error_type=outcome.error_type, message=outcome.message,
             )
-            self._complete(position, task, key, value, attempts=attempt, sink=sink)
+        elif mode != "degraded":  # a timeout: transient
+            self._note_transient(
+                [(position, task, attempt)], requeue, sink,
+                FAILURE_TIMEOUT, outcome.message, mode,
+            )
+            return
+        else:  # a degraded attempt is never retried
+            value = self._failure(
+                task, FAILURE_TIMEOUT, attempt, message=outcome.message
+            )
+        self._complete(
+            position, task, key, value, attempts=attempt, sink=sink,
+            degraded=mode == "degraded",
+        )
 
-    def _note_transient(self, entries, requeue, sink, kind, message) -> None:
-        """Route transient failures: retry if budget remains, else degrade."""
+    def _note_transient(
+        self, entries, requeue, sink, kind, message, mode="pool"
+    ) -> None:
+        """Route transient failures: retry if budget remains; else degrade a
+        pool task, or record an inline one as failed."""
         for position, task, attempt in entries:
+            key = self._key(task)
             if kind == FAILURE_TIMEOUT:
-                self._tel_event(
-                    "timeout", key=self._key(task), attempt=attempt, mode="pool"
-                )
+                self._tel_event("timeout", key=key, attempt=attempt, mode=mode)
             if self.retry.should_retry(kind, attempt):
-                self._tel_event(
-                    "retry", key=self._key(task), kind=kind, attempt=attempt
-                )
+                self._tel_event("retry", key=key, kind=kind, attempt=attempt)
                 self._tel_count("runner.retries")
                 requeue.append((position, task, attempt))
+            elif mode == "pool":
+                self._degrade(position, task, attempt + 1, sink, kind)
             else:
-                self._degrade(
-                    position, task, attempt + 1, sink, kind=kind, message=message
-                )
-
-    def _degrade(
-        self, position, task, attempt, sink, kind=None, message=""
-    ) -> None:
-        """Last resort: run the task inline, immune to worker trouble.
-
-        Chaos kill/hang injections are gated to child processes, and a
-        worker crash cannot take this process down — so degraded execution
-        completes the sweep with byte-identical results whenever the task
-        itself is healthy.  Only a genuine in-task raise or an inline
-        timeout still produces a :class:`TaskFailure`.
-        """
-        key = self._key(task)
-        self.degraded_tasks.append(key)
-        self._tel_event("degraded", key=key, kind=kind or "", attempt=attempt)
-        self._tel_count("runner.degraded")
-        self._journal("task-started", task, key, attempt=attempt, mode="degraded")
-        wall_started = time.time()
-        try:
-            with wall_clock_limit(self._timeout_for(task)):
-                value = self._execute_traced(task, key)
-        except TaskTimeout as exc:
-            value = self._failure(task, FAILURE_TIMEOUT, attempt, message=str(exc))
-        except Exception as exc:
-            value = self._failure(
-                task, FAILURE_EXCEPTION, attempt,
-                error_type=type(exc).__name__, message=str(exc),
-            )
-        self._tel_span(
-            "task", wall_started, time.time() - wall_started,
-            key=key, experiment=task.experiment_id, mode="degraded",
-            attempt=attempt,
-            status="failed" if isinstance(value, TaskFailure) else "ok",
-        )
-        self._complete(
-            position, task, key, value, attempts=attempt, sink=sink, degraded=True
-        )
+                value = self._failure(task, kind, attempt, message=message)
+                self._complete(position, task, key, value, attempts=attempt, sink=sink)
 
     # -- shared bookkeeping -----------------------------------------------------
     def _complete(
@@ -697,11 +722,10 @@ class ParallelRunner:
         )
 
     def _absorb_artifact_stats(self, delta: Optional[dict]) -> None:
-        """Fold one process's artifact-store counter delta into telemetry.
+        """Fold one execution's artifact-store counter delta into telemetry.
 
-        Driver-side activity (inline/degraded executions) arrives as one
-        delta at the end of ``run_many``; every pool execution sends its
-        own delta back inside the :class:`WorkerOutcome`.
+        Every execution, in a pool worker or in this process, reports its
+        own delta inside its :class:`WorkerOutcome`.
         """
         if not delta:
             return

@@ -9,8 +9,7 @@ for every federation the simulator can legally produce:
   the ledger shows up exactly once in the central accounting database, and
   nothing is left buffered in a site's AMIE feed;
 * **no-double-charge** — one usage record per job, with a charge that never
-  exceeds the nominal rate x occupancy for its machine (overdraft clipping
-  can only lower it);
+  exceeds the nominal rate x occupancy for its machine;
 * **record well-formedness** — timestamps ordered, occupancy within the
   requested walltime, resources and accounts that actually exist;
 * **classifier sanity** — the attribute classifier labels *every* record

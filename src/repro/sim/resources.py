@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import count
+from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.sim.process import Event
@@ -28,9 +28,9 @@ class Request(Event):
     large request at the head blocks later small ones (no starvation).
     """
 
-    __slots__ = ("resource", "amount", "priority", "key")
+    __slots__ = ("resource", "amount")
 
-    def __init__(self, resource: "Resource", amount: int, priority: float) -> None:
+    def __init__(self, resource: "Resource", amount: int) -> None:
         super().__init__(resource.sim)
         if amount < 1:
             raise ValueError(f"request amount must be >= 1, got {amount}")
@@ -40,15 +40,14 @@ class Request(Event):
             )
         self.resource = resource
         self.amount = int(amount)
-        self.priority = priority
 
 
 class Resource:
-    """A counting resource with ``capacity`` units and a priority queue.
+    """A counting resource with ``capacity`` units and a FIFO queue.
 
-    Lower ``priority`` values are served first; ties are FIFO.  The grant
-    discipline is strict queue order (like a conservative batch queue): the
-    head request must be satisfiable before any later request is considered.
+    The grant discipline is strict queue order (like a conservative batch
+    queue): the head request must be satisfiable before any later request
+    is considered.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
@@ -57,9 +56,7 @@ class Resource:
         self.sim = sim
         self.capacity = int(capacity)
         self._in_use = 0
-        self._seq = count()
-        # (priority, seq, request); kept sorted lazily since queues are short
-        self._queue: list[tuple[float, int, Request]] = []
+        self._queue: deque[Request] = deque()
 
     # -- introspection ----------------------------------------------------
     @property
@@ -68,11 +65,10 @@ class Resource:
         return self._in_use
 
     # -- operations ----------------------------------------------------------
-    def request(self, amount: int = 1, priority: float = 0.0) -> Request:
+    def request(self, amount: int = 1) -> Request:
         """Claim ``amount`` units; the returned event triggers when granted."""
-        req = Request(self, amount, priority)
-        self._queue.append((priority, next(self._seq), req))
-        self._queue.sort(key=lambda item: (item[0], item[1]))
+        req = Request(self, amount)
+        self._queue.append(req)
         self._grant()
         return req
 
@@ -87,9 +83,9 @@ class Resource:
 
     def _grant(self) -> None:
         while self._queue:
-            _priority, _seq, head = self._queue[0]
+            head = self._queue[0]
             if head.amount > self.capacity - self._in_use:
                 return
-            self._queue.pop(0)
+            self._queue.popleft()
             self._in_use += head.amount
             head.succeed(head)

@@ -30,18 +30,8 @@ def test_unknown_account_raises():
 def test_charge_with_overdraft():
     allocation = Allocation("A", AllocationType.RESEARCH, budget_nu=100.0)
     assert allocation.charge(80.0) == 80.0
-    assert allocation.charge(50.0) == 50.0  # overdraft allowed by default
+    assert allocation.charge(50.0) == 50.0  # overdrawn: charged in full
     assert allocation.charged_nu == 130.0
-
-
-def test_charge_clipped_without_overdraft():
-    allocation = Allocation(
-        "A", AllocationType.STARTUP, budget_nu=100.0, overdraft_allowed=False
-    )
-    assert allocation.charge(80.0) == 80.0
-    assert allocation.charge(50.0) == 20.0
-    assert allocation.charge(50.0) == 0.0
-    assert allocation.charged_nu == 100.0
 
 
 def test_negative_charge_rejected():

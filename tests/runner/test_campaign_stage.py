@@ -207,6 +207,17 @@ def test_pool_tasks_release_a_campaign_after_its_last_reader(
     assert key not in _campaign_cache
 
 
+def test_inline_tasks_release_no_campaign(tmp_path, reference):
+    """The driver's memo is its caller's: an inline run keeps what it read."""
+    runner = ParallelRunner(
+        jobs=1, use_cache=False, artifacts=ArtifactStore(root=tmp_path)
+    )
+    assert _texts(runner.run_many(_SHARED)) == reference
+    (key,) = {key for task in plan_tasks("T1", days=12.0)
+              for key in task_campaign_keys(task)}
+    assert key in _campaign_cache
+
+
 def test_existing_artifacts_are_reused_not_resimulated(tmp_path, reference):
     store_dir = tmp_path / "store"
     first = ParallelRunner(

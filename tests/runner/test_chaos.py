@@ -22,7 +22,6 @@ from repro.experiments.base import (
     ExperimentTask,
     register_tasks,
     registry,
-    task_plans,
 )
 from repro.runner import ParallelRunner, ResultCache, RetryPolicy
 from repro.runner.cache import read_entry
@@ -146,10 +145,6 @@ def test_corrupted_sweep_recovers_by_quarantine_and_recompute(
 
 # -- a tiny registered experiment for end-to-end injection ---------------------
 
-def _cz_run(**knobs):
-    raise NotImplementedError("CZ only runs via its task plan")
-
-
 def _cz_plan(seeds=(1, 2, 3, 4), **_knobs):
     return [
         ExperimentTask("CZ", index, {"seed": seed}, seed)
@@ -157,8 +152,8 @@ def _cz_plan(seeds=(1, 2, 3, 4), **_knobs):
     ]
 
 
-def _cz_execute(params):
-    return params["seed"] * 11
+def _cz_execute(seed):
+    return seed * 11
 
 
 def _cz_merge(partials, **_knobs):
@@ -169,11 +164,9 @@ def _cz_merge(partials, **_knobs):
 
 @pytest.fixture
 def chaos_experiment():
-    registry["CZ"] = _cz_run
     register_tasks("CZ", _cz_plan, _cz_execute, _cz_merge)
     yield
     registry.pop("CZ", None)
-    task_plans.pop("CZ", None)
 
 
 # -- end-to-end: sweeps survive injected faults, byte-identically --------------
@@ -231,15 +224,14 @@ def test_hangs_become_timeouts_then_degrade(monkeypatch, chaos_experiment):
     assert len(chaotic.degraded_tasks) == 4
 
 
-def _bad_execute(params):
-    if params["seed"] == 2:
+def _bad_execute(seed):
+    if seed == 2:
         raise RuntimeError("task bug, deterministic")
-    return params["seed"]
+    return seed
 
 
 @pytest.fixture
 def buggy_experiment():
-    registry["BZ"] = _cz_run
     register_tasks(
         "BZ",
         lambda **_: [
@@ -250,7 +242,6 @@ def buggy_experiment():
     )
     yield
     registry.pop("BZ", None)
-    task_plans.pop("BZ", None)
 
 
 def test_task_exceptions_are_contained_not_retried(buggy_experiment):

@@ -1,5 +1,6 @@
 """Tests for the parallel runner: jobs, planning, caching, fault handling."""
 
+import multiprocessing
 import time
 
 import pytest
@@ -12,7 +13,6 @@ from repro.experiments.base import (
     plan_timeout,
     register_tasks,
     registry,
-    task_plans,
 )
 from repro.runner import (
     ParallelRunner,
@@ -56,8 +56,13 @@ def test_jobs_clamped_to_one():
 # -- task planning -------------------------------------------------------------
 
 def test_declared_plans_exist_for_replicate_experiments():
-    for experiment_id in ("R1", "A3", "F6"):
-        assert experiment_id in task_plans
+    # Each fans out into several tasks and merges with its own function,
+    # not the one-task plan that @register builds.
+    for experiment_id in ("R1", "A3", "A4", "A5", "F6"):
+        assert len(plan_tasks(experiment_id)) > 1
+        assert registry[experiment_id].merge.__module__.startswith(
+            "repro.experiments." + experiment_id.lower() + "_"
+        )
 
 
 def test_r1_plans_one_task_per_seed():
@@ -68,9 +73,8 @@ def test_r1_plans_one_task_per_seed():
 
 
 def test_undeclared_experiment_gets_single_task_plan():
-    tasks = plan_tasks("T1", days=2.0)
-    assert len(tasks) == 1
-    assert tasks[0].params["__whole__"] == "T1"
+    (task,) = plan_tasks("T1", days=2.0)
+    assert (task.experiment_id, task.index, task.params) == ("T1", 0, {"days": 2.0})
 
 
 def test_plan_tasks_rejects_unknown_experiment():
@@ -151,17 +155,13 @@ def test_pool_execution_matches_inline(tmp_path):
 
 # -- timeouts and containment --------------------------------------------------
 
-def _px_run(**knobs):
-    raise NotImplementedError("PX only runs via its task plan")
-
-
 def _px_plan(sleep=0.0, **_knobs):
     return [ExperimentTask("PX", 0, {"seed": 1, "sleep": sleep}, 1)]
 
 
-def _px_execute(params):
-    time.sleep(params["sleep"])
-    return params["seed"]
+def _px_execute(seed, sleep):
+    time.sleep(sleep)
+    return seed
 
 
 def _px_merge(partials, **_knobs):
@@ -169,7 +169,6 @@ def _px_merge(partials, **_knobs):
 
 
 def _register_px(timeout=None):
-    registry["PX"] = _px_run
     register_tasks("PX", _px_plan, _px_execute, _px_merge, timeout=timeout)
 
 
@@ -177,7 +176,6 @@ def _register_px(timeout=None):
 def px_cleanup():
     yield
     registry.pop("PX", None)
-    task_plans.pop("PX", None)
 
 
 def test_runner_rejects_nonpositive_timeout():
@@ -187,7 +185,6 @@ def test_runner_rejects_nonpositive_timeout():
 
 
 def test_register_tasks_rejects_nonpositive_timeout(px_cleanup):
-    registry["PX"] = _px_run
     with pytest.raises(ValueError, match="timeout must be positive"):
         register_tasks("PX", _px_plan, _px_execute, _px_merge, timeout=-1.0)
 
@@ -222,6 +219,28 @@ def test_timeout_exhaustion_becomes_structured_failure(px_cleanup):
     assert failure.kind == "timeout"
     assert failure.attempts == 2
     assert runner.retries == 1
+    assert not runner.degraded_tasks  # inline has nowhere safer to go
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers inherit the probe experiment by fork",
+)
+def test_degraded_timeout_is_recorded_not_retried(px_cleanup, monkeypatch):
+    # The pool dies once (its worker is killed), so the task's second
+    # attempt is degraded with retry budget left; its timeout still ends it.
+    _register_px()
+    monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
+    runner = ParallelRunner(
+        jobs=2, use_cache=False, task_timeout=0.1, max_pool_deaths=1,
+        retry=RetryPolicy(max_attempts=3, base_delay=0.01),
+    )
+    output = runner.run("PX", sleep=30.0)
+    assert output.title == "FAILED"
+    (failure,) = runner.failures
+    assert (failure.kind, failure.attempts) == ("timeout", 2)
+    assert len(runner.degraded_tasks) == 1
+    assert runner.retries == 1  # the killed pool attempt only
 
 
 def test_failed_experiment_does_not_abort_the_sweep(px_cleanup, tmp_path):
@@ -247,6 +266,20 @@ def test_failures_are_never_cached(px_cleanup, tmp_path):
     runner.run("PX", sleep=30.0)
     assert runner.failures
     assert cache.entries() == []  # a transient outage must not poison reruns
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+def test_stop_requests_escape_an_inline_task(px_cleanup, stop):
+    # A pool worker turns every exception into an outcome; in this process
+    # the same catch must let Ctrl-C and exit requests through.
+    def execute(seed, sleep):
+        raise stop()
+
+    register_tasks("PX", _px_plan, execute, _px_merge)
+    runner = ParallelRunner(jobs=1, use_cache=False)
+    with pytest.raises(stop):
+        runner.run("PX")
+    assert not runner.failures
 
 
 class _BrokenSubmitPool:

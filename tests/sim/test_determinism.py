@@ -9,7 +9,7 @@ the same experiment.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.base import run_via_tasks
+from repro.experiments.base import run_experiment
 from repro.runner import ParallelRunner
 from repro.sim import RandomStreams, Simulator
 from repro.workloads import run_scenario
@@ -88,7 +88,7 @@ def test_parallel_execution_is_byte_identical_to_serial():
     """The runner contract: R1's replicate fan-out merged from a 2-worker
     process pool matches the inline serial path exactly."""
     knobs = dict(days=1.0, seeds=(1, 2))
-    serial = run_via_tasks("R1", **knobs)
+    serial = run_experiment("R1", **knobs)
     parallel = ParallelRunner(jobs=2, use_cache=False).run("R1", **knobs)
     assert parallel.text == serial.text
     assert parallel.data == serial.data
@@ -96,7 +96,7 @@ def test_parallel_execution_is_byte_identical_to_serial():
 
 def test_single_worker_runner_matches_serial_path():
     knobs = dict(days=1.0, seed=5, coverages=(0.0, 1.0))
-    serial = run_via_tasks("F6", **knobs)
+    serial = run_experiment("F6", **knobs)
     inline = ParallelRunner(jobs=1, use_cache=False).run("F6", **knobs)
     assert inline.text == serial.text
     assert inline.data == serial.data

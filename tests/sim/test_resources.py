@@ -95,31 +95,6 @@ def test_strict_queue_order_blocks_small_behind_large():
     assert log == [("big", 10.0), ("small", 10.0)]
 
 
-def test_priority_orders_queue():
-    sim = Simulator()
-    log = []
-
-    def holder(sim, res):
-        req = res.request()
-        yield req
-        yield sim.timeout(5.0)
-        res.release(req)
-
-    def worker(sim, res, tag, priority):
-        yield sim.timeout(1.0)
-        req = res.request(priority=priority)
-        yield req
-        log.append(tag)
-        res.release(req)
-
-    res = Resource(sim, capacity=1)
-    sim.process(holder(sim, res))
-    sim.process(worker(sim, res, "low", 10))
-    sim.process(worker(sim, res, "high", 0))
-    sim.run()
-    assert log == ["high", "low"]
-
-
 def test_request_validation():
     sim = Simulator()
     res = Resource(sim, capacity=2)

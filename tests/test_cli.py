@@ -7,9 +7,12 @@ from repro.__main__ import main
 
 def test_list_prints_registry(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for experiment_id in ("T1", "F7", "A1"):
-        assert experiment_id in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 23
+    # Each row names the experiment's own module, reader or fan-out alike.
+    for row in ("T1   t1_users", "F1   f1_growth", "F7   f7_workflows",
+                "A1   a1_walltime_accuracy", "R1   r1_replicates"):
+        assert row in lines
 
 
 def test_taxonomy_prints_table(capsys):

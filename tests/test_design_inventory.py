@@ -1,8 +1,10 @@
-"""DESIGN.md §2 lists the modules in the tree; the docs name only real files.
+"""DESIGN.md §2 lists the modules in the tree; the docs name only real
+files and registered experiments.
 
 A §2 row names one module by its path under ``src/``, or a directory
 (``repro/runner/``) and then that directory's modules by file name.
-Package ``__init__.py`` files need no row.
+Package ``__init__.py`` files need no row.  Fenced code blocks may show
+illustrative experiment ids (a ``T9`` written as an example).
 """
 
 import re
@@ -13,6 +15,24 @@ SRC = ROOT / "src"
 CODE = re.compile(r"`([^`]+)`")
 #: A ``.py`` path with at least one directory: ``examples/quickstart.py``.
 PY_PATH = re.compile(r"[\w./-]+/[\w.-]+\.py\b")
+#: An experiment id: ``T1``, ``F9``, ``A5``, ``R1``.
+EXPERIMENT_ID = re.compile(r"\b[TFAR]\d+\b")
+
+
+def docs() -> list[Path]:
+    """DESIGN.md, README.md and every page of ``docs/``."""
+    pages = sorted((ROOT / "docs").glob("*.md"))
+    return [ROOT / "DESIGN.md", ROOT / "README.md", *pages]
+
+
+def outside_code_fences(text: str) -> str:
+    kept, fenced = [], False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            kept.append(line)
+    return "\n".join(kept)
 
 
 def design_section_2() -> str:
@@ -64,3 +84,17 @@ def test_every_named_python_file_exists():
         )
     )
     assert missing == []
+
+
+def test_every_named_experiment_is_registered():
+    from repro.experiments import registry
+
+    unknown = sorted(
+        (doc.name, experiment_id)
+        for doc in docs()
+        for experiment_id in EXPERIMENT_ID.findall(
+            outside_code_fences(doc.read_text(encoding="utf-8"))
+        )
+        if experiment_id not in registry
+    )
+    assert unknown == []
