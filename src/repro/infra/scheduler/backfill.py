@@ -20,14 +20,19 @@ Two reservation-management styles are supported:
   inefficiency the weekly-drain capability policy (experiment F4) was
   invented to avoid.
 
-The head's profile and earliest start come from the base class's memo
-(``BatchScheduler._head_memo``): built once, then reused until the head
+The head's earliest start comes from the base class's memo
+(``BatchScheduler._head_memo``): found once, then reused until the head
 changes, a job starts or finishes, a reservation is added, or time reaches
 the head's own start.  Dropping a reservation at its end, a walltime-bound
 release or a reservation edge passing does not rebuild it: each changes
-only the past, so the kept profile still answers every query from now on.
-Every other queued job is still tested on every pass; the cheap node and
-shadow tests stop most of them before ``can_start_now``.
+only the past, so the memo still answers every query from now on.  While
+a reservation is registered the memo keeps the head's capacity profile,
+and the nodes left over at the shadow are read from it; otherwise no
+profile is built, and the start and the leftover nodes are both a prefix
+walk over the running jobs' sorted walltime-bound releases
+(``BatchScheduler._release_walk``).  Every other queued job is still
+tested on every pass; the cheap node and shadow tests stop most of them
+before ``can_start_now``.
 """
 
 from __future__ import annotations
@@ -112,9 +117,7 @@ class EasyBackfillScheduler(BatchScheduler):
         shadow_start = self._shadow(head)
         # Nodes free during the head's reserved window once it starts (a
         # kept profile begins at its build time: clip as a fresh one would).
-        free_at_shadow = memo.profile.available_during(
-            max(shadow_start, now), head.walltime
-        )
+        free_at_shadow = self._head_free_during(memo, max(shadow_start, now))
         extra_nodes = free_at_shadow - self._nodes[head.job_id]
 
         # Cheap tests first: can_start_now is pure, so asking it last (and

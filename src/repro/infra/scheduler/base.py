@@ -47,7 +47,9 @@ class RunningJob:
 
 @dataclass(eq=False)
 class _HeadMemo:
-    """The queue head's capacity profile and earliest start, built at ``built``.
+    """The queue head's earliest start, built at ``built``, and the capacity
+    profile it was read from (``None``: read off the sorted releases, with
+    no reservation registered).
 
     See :meth:`BatchScheduler._head_memo` for when it may be reused.
     """
@@ -55,7 +57,7 @@ class _HeadMemo:
     head: Job
     version: int
     built: float
-    profile: CapacityProfile
+    profile: Optional[CapacityProfile]
     start: float
 
 
@@ -90,8 +92,13 @@ class BatchScheduler:
         self.max_eligible_per_user = max_eligible_per_user
         #: pending jobs in arrival order (failover replays it in that order)
         self.queue: list[Job] = []
+        #: beside ``queue``: each job's arrival number and node-seconds
+        self._queue_arrivals: list[int] = []
+        self._queue_work: list[float] = []
         #: the same jobs in service order: higher priority first, then arrival
         self._service: list[Job] = []
+        #: beside ``_service``: each job's (-priority, arrival number)
+        self._service_keys: list[tuple[float, int]] = []
         self.running: dict[int, RunningJob] = {}
         #: (walltime bound, nodes) of every running job, sorted
         self._releases: list[tuple[float, int]] = []
@@ -128,10 +135,17 @@ class BatchScheduler:
         job.resource = self.cluster.name
         self._completions[job.job_id] = self.sim.event()
         self._starts[job.job_id] = self.sim.event()
+        arrival = next(self._seq)
+        nodes = self.cluster.nodes_for(job.cores)
+        self._arrival_order[job.job_id] = arrival
+        self._nodes[job.job_id] = nodes
         self.queue.append(job)
-        self._arrival_order[job.job_id] = next(self._seq)
-        bisect.insort(self._service, job, key=self._service_key)
-        self._nodes[job.job_id] = self.cluster.nodes_for(job.cores)
+        self._queue_arrivals.append(arrival)
+        self._queue_work.append(nodes * job.walltime)
+        key = (-job.priority, arrival)
+        index = bisect.bisect_right(self._service_keys, key)
+        self._service_keys.insert(index, key)
+        self._service.insert(index, job)
         self._schedule_pass()
         return job
 
@@ -265,9 +279,9 @@ class BatchScheduler:
         return len(self.queue)
 
     def pending_node_seconds(self) -> float:
-        """Total outstanding work in the queue (nodes x requested walltime)."""
-        nodes = self._nodes
-        return sum(nodes[job.job_id] * job.walltime for job in self.queue)
+        """Total outstanding work in the queue (nodes x requested walltime),
+        summed in arrival order."""
+        return sum(self._queue_work)
 
     # -- policy hook ------------------------------------------------------------
     def _schedule_pass(self) -> None:
@@ -319,16 +333,13 @@ class BatchScheduler:
         dropped from the eligible order (they remain queued).
 
         The order is kept as jobs arrive and leave (``submit`` and
-        ``_dequeue`` insert and delete by bisection on :meth:`_service_key`),
-        so no pass sorts the queue.  Without a cap the live list comes back:
-        callers read it and must not change it, and it changes as jobs start.
+        ``_dequeue`` insert and delete by bisection on the stored
+        ``(-priority, arrival number)`` keys; a job's priority must not
+        change while it is queued), so no pass sorts the queue.  Without a
+        cap the live list comes back: callers read it and must not change
+        it, and it changes as jobs start.
         """
         return self._apply_user_cap(self._service)
-
-    def _service_key(self, job: Job) -> tuple[float, int]:
-        """A queued job's place in service order (its priority must not
-        change while it is queued)."""
-        return -job.priority, self._arrival_order[job.job_id]
 
     def _apply_user_cap(self, order: list[Job]) -> list[Job]:
         if self.max_eligible_per_user is None:
@@ -343,43 +354,75 @@ class BatchScheduler:
         return eligible
 
     # -- capacity reasoning -------------------------------------------------------
-    def build_profile(
-        self, for_job: Optional[Job] = None, include_running: bool = True
-    ) -> CapacityProfile:
+    def build_profile(self, for_job: Job) -> CapacityProfile:
         """Availability profile as seen by ``for_job``.
 
         Reservations admitting the job do not count as busy for it; all other
-        reservations and (optionally) running jobs do.  A running job holds
-        its nodes until its walltime bound at the latest, and the scheduler
-        plans with that bound: the profile is seeded from the sorted
-        (bound, nodes) releases kept on start and finish, not job by job.
+        reservations and the running jobs do.  A running job holds its nodes
+        until its walltime bound at the latest, and the scheduler plans with
+        that bound: the profile is seeded from the sorted (bound, nodes)
+        releases kept on start and finish, not job by job.
 
+        Only a registered reservation makes a profile necessary; without one
+        the sorted releases answer every question (:meth:`_release_walk`).
         Building one is the costly step of a pass, so the head's profile is
         kept between passes (:meth:`_head_memo`); other jobs get a fresh one.
         """
         profile = CapacityProfile(self.cluster.nodes, self.sim.now)
-        if include_running:
-            profile.add_releases(self._releases)
+        profile.add_releases(self._releases)
         for reservation in self.reservations:
-            if for_job is not None and reservation.admits(for_job):
+            if reservation.admits(for_job):
                 continue
             profile.add_usage(reservation.start, reservation.end, reservation.nodes)
         return profile
 
+    def _release_walk(self, nodes: int, floor: Optional[float]) -> tuple[float, int]:
+        """The earliest time ``t`` from ``floor`` (clipped to now) on with
+        ``nodes`` free, and the nodes free at ``t``; ``nodes`` 0 gives the
+        nodes free at ``floor``.
+
+        Valid only while no reservation is registered.  Then free nodes only
+        grow from now on: the releases hold ``cluster.nodes - free_nodes``
+        nodes between them, so for every ``t >= now`` the nodes free at
+        ``t`` are ``free_nodes`` plus those released by ``t``, and that is
+        also the fewest free over any window starting at ``t``.  One prefix
+        walk over the sorted releases answers both questions, as a fresh
+        :class:`CapacityProfile` would.
+        """
+        if nodes > self.cluster.nodes:
+            raise ValueError(
+                f"request for {nodes} nodes exceeds machine size "
+                f"{self.cluster.nodes}"
+            )
+        now = self.sim.now
+        start = now if floor is None else max(floor, now)
+        free = self.free_nodes
+        for release, released in self._releases:
+            if release > start:
+                if free >= nodes:
+                    break
+                start = release
+            free += released
+        return start, free
+
     def can_start_now(self, job: Job) -> bool:
-        """Whether ``job`` can start immediately without violating anything.
+        """Whether the queued ``job`` can start immediately without
+        violating anything.
 
         Running jobs only ever release nodes from now on, so ``free_nodes``
         is the fewest free nodes anywhere in the job's window unless a
-        reservation the job may not use reaches into it.  Only then does
-        the answer need a profile.
+        reservation the job may not use reaches into it.  With no
+        reservation registered the answer is the free-node test; only such
+        a reservation makes it need a profile.
         """
         now = self.sim.now
         if job.not_before is not None and now < job.not_before - 1e-9:
             return False
-        nodes = self.cluster.nodes_for(job.cores)
+        nodes = self._nodes[job.job_id]
         if nodes > self.free_nodes:
             return False
+        if not self.reservations:
+            return True
         window_end = now + job.walltime
         if not any(
             reservation.end > now
@@ -388,7 +431,7 @@ class BatchScheduler:
             for reservation in self.reservations
         ):
             return True
-        profile = self.build_profile(for_job=job)
+        profile = self.build_profile(job)
         return profile.available_during(now, job.walltime) >= nodes
 
     def earliest_start(self, job: Job, not_before: Optional[float] = None) -> float:
@@ -397,20 +440,25 @@ class BatchScheduler:
         floor = not_before
         if job.not_before is not None:
             floor = job.not_before if floor is None else max(floor, job.not_before)
-        profile = self.build_profile(for_job=job)
+        if not self.reservations:
+            return self._release_walk(nodes, floor)[0]
+        profile = self.build_profile(job)
         return profile.earliest_start(nodes, job.walltime, not_before=floor)
 
     def _head_memo(self, head: Job) -> _HeadMemo:
-        """The head's profile and earliest start, built once per state.
+        """The head's earliest start, found once per state.
 
-        A memo is rebuilt when the head changes, when ``_version`` moves (a
-        job starts or finishes, or a reservation is added), and once time
-        reaches the head's earliest start (a memo built at this instant
-        stays current).  Until then a kept profile and a fresh one agree at
-        every time from ``now`` on: a walltime-bound release or reservation
-        edge passed since the build changed only the past (a reservation is
-        dropped at its end).  So the kept start is still the earliest, and
-        every query from ``now`` on gets a fresh profile's answer.
+        With a reservation registered it is read from the head's profile,
+        kept in the memo; without one, off the sorted releases
+        (:meth:`_release_walk`), with no profile.  A memo is rebuilt when the
+        head changes, when ``_version`` moves (a job starts or finishes, or a
+        reservation is added), and once time reaches the head's earliest
+        start (a memo built at this instant stays current).  Until then a
+        kept profile and a fresh one agree at every time from ``now`` on: a
+        walltime-bound release or reservation edge passed since the build
+        changed only the past (a reservation is dropped at its end).  So the
+        kept start is still the earliest, and every query from ``now`` on
+        gets a fresh profile's answer.
         """
         now = self.sim.now
         memo = self._memo
@@ -421,33 +469,43 @@ class BatchScheduler:
             and (now < memo.start or now == memo.built)
         ):
             return memo
-        profile = self.build_profile(for_job=head)
-        start = profile.earliest_start(
-            self._nodes[head.job_id], head.walltime, not_before=head.not_before
-        )
+        nodes = self._nodes[head.job_id]
+        if self.reservations:
+            profile = self.build_profile(head)
+            start = profile.earliest_start(
+                nodes, head.walltime, not_before=head.not_before
+            )
+        else:
+            profile = None
+            start = self._release_walk(nodes, head.not_before)[0]
         self._memo = memo = _HeadMemo(head, self._version, now, profile, start)
         return memo
+
+    def _head_free_during(self, memo: _HeadMemo, start: float) -> int:
+        """Fewest nodes free over the head's window from ``start`` (at or
+        after now), as the head sees them: from the memo's profile, or off
+        the releases when the memo has none (no reservation was added since
+        it was built, so none is registered)."""
+        if memo.profile is None:
+            return self._release_walk(0, start)[1]
+        return memo.profile.available_during(start, memo.head.walltime)
 
     # -- mechanics ----------------------------------------------------------------
     def _dequeue(self, job: Job) -> None:
         """Take a pending job out of the queue and drop its bookkeeping.
 
         The queue is in arrival order and ``_service`` in service order, so
-        the job is found in each by bisection; ``queue.remove`` would run the
-        dataclass ``Job.__eq__`` against every job ahead of it.
+        the job is found in each by bisecting the keys stored beside it;
+        ``queue.remove`` would run the dataclass ``Job.__eq__`` against every
+        job ahead of it.
         """
-        arrival = self._arrival_order
-        index = bisect.bisect_left(
-            self.queue, arrival[job.job_id], key=lambda queued: arrival[queued.job_id]
-        )
+        arrival = self._arrival_order.pop(job.job_id)
+        index = bisect.bisect_left(self._queue_arrivals, arrival)
         assert self.queue[index] is job, "queue left arrival order"
-        del self.queue[index]
-        index = bisect.bisect_left(
-            self._service, self._service_key(job), key=self._service_key
-        )
+        del self.queue[index], self._queue_arrivals[index], self._queue_work[index]
+        index = bisect.bisect_left(self._service_keys, (-job.priority, arrival))
         assert self._service[index] is job, "queue left service order"
-        del self._service[index]
-        del arrival[job.job_id]
+        del self._service[index], self._service_keys[index]
         del self._nodes[job.job_id]
 
     def _start(self, job: Job) -> None:

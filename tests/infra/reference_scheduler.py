@@ -4,8 +4,13 @@ The production scheduler avoids work that cannot change a decision.  These
 subclasses put back the direct versions, so differential tests can run
 both side by side and demand identical starts:
 
-* ``can_start_now`` builds a capacity profile for every candidate;
+* ``can_start_now`` builds a capacity profile for every candidate, and
+  takes its node count from the cluster, not from the count kept at
+  submission;
 * ``build_profile`` adds running jobs one ``add_usage`` at a time;
+* ``earliest_start``, the head's earliest start and the nodes free at its
+  shadow always come from a fresh profile, never from a walk over the
+  sorted releases (the production path with no reservation registered);
 * the head's profile and earliest start are rebuilt at every use, never
   kept between passes;
 * the base ``_ordered_queue`` sorts on ``(-priority, arrival number)``;
@@ -13,6 +18,10 @@ both side by side and demand identical starts:
   and walks the whole order;
 * ``CapacityProfile.earliest_start`` tries every candidate start with
   ``available_during``.
+
+``submit`` and ``_dequeue`` (bisection on stored keys) and
+``pending_node_seconds`` (a sum over a kept list) are not replaced: the
+differential tests check the kept lists against the queue directly.
 
 Each policy keeps its own ordering and mechanics (fairshare's usage key,
 the drain window's capability order, ``_start``/``cancel``/``withdraw``).
@@ -68,23 +77,28 @@ class _ReferenceCapacity:
     """A profile per ``can_start_now`` call and per use of the head's
     profile; FIFO ties by arrival number."""
 
-    def build_profile(
-        self, for_job: Optional[Job] = None, include_running: bool = True
-    ) -> CapacityProfile:
+    def build_profile(self, for_job: Job) -> CapacityProfile:
         profile = ReferenceCapacityProfile(self.cluster.nodes, self.sim.now)
-        if include_running:
-            for running in self.running.values():
-                profile.add_usage(self.sim.now, running.end_estimate, running.nodes)
+        for running in self.running.values():
+            profile.add_usage(self.sim.now, running.end_estimate, running.nodes)
         for reservation in self.reservations:
-            if for_job is not None and reservation.admits(for_job):
+            if reservation.admits(for_job):
                 continue
             profile.add_usage(reservation.start, reservation.end, reservation.nodes)
         return profile
 
+    def earliest_start(self, job: Job, not_before: Optional[float] = None) -> float:
+        floor = not_before
+        if job.not_before is not None:
+            floor = job.not_before if floor is None else max(floor, job.not_before)
+        return self.build_profile(job).earliest_start(
+            self.cluster.nodes_for(job.cores), job.walltime, not_before=floor
+        )
+
     def _head_memo(self, head: Job) -> _HeadMemo:
         # Never reused, and built without the production body: a fresh
-        # profile and the base ``earliest_start`` at every use.
-        profile = self.build_profile(for_job=head)
+        # profile and the reference ``earliest_start`` at every use.
+        profile = self.build_profile(head)
         start = self.earliest_start(head)
         now = self.sim.now
         return _HeadMemo(head, self._version, now, profile, start)
@@ -95,7 +109,7 @@ class _ReferenceCapacity:
         nodes = self.cluster.nodes_for(job.cores)
         if nodes > self.free_nodes:
             return False
-        profile = self.build_profile(for_job=job)
+        profile = self.build_profile(job)
         return profile.available_during(self.sim.now, job.walltime) >= nodes
 
     def _ordered_queue(self) -> list[Job]:
@@ -127,7 +141,7 @@ class ReferenceEasy(_ReferenceCapacity, EasyBackfillScheduler):
         head = order[0]
         head_nodes = self.cluster.nodes_for(head.cores)
         shadow_start = self._shadow(head)
-        profile = self.build_profile(for_job=head)
+        profile = self.build_profile(head)
         free_at_shadow = profile.available_during(shadow_start, head.walltime)
         extra_nodes = free_at_shadow - head_nodes
 

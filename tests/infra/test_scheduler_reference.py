@@ -1,20 +1,23 @@
 """Differential tests: the scheduler against its plain reference.
 
 The production EASY pass skips profiles, candidates and sort keys that
-cannot change a decision and keeps the head's profile between passes.
-``reference_scheduler`` keeps the direct code.  Both are fed the same random
-workload (reservations, priorities, ``not_before`` holds, cancels, sticky
-shadows, per-user caps, fairshare and the weekly drain) and stepped in
-lockstep, checking after every event that each job has the same state and
-start time (the check-after-every-tick idiom).  Random workloads rarely hit
-the instants the head memo must notice, so each of its guards also gets a
-hand-built scenario stepped the same way.
+cannot change a decision, keeps the head's profile between passes, and
+with no reservation registered reads the head's start and free nodes off
+the sorted releases instead of a profile.  ``reference_scheduler`` keeps
+the direct code.  Both are fed the same random workload (reservations,
+priorities, ``not_before`` holds, cancels, sticky shadows, per-user caps,
+fairshare and the weekly drain) and stepped in lockstep, checking after
+every event that each job has the same state and start time (the
+check-after-every-tick idiom).  Random workloads rarely hit the instants
+the head memo must notice, so each of its guards also gets a hand-built
+scenario stepped the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.infra.cluster import Cluster
@@ -112,7 +115,8 @@ def workloads(draw, policies=tuple(sorted(POLICIES)), plain=False) -> Workload:
 
 
 def _rig(scheduler_class, workload: Workload):
-    """A simulator with ``workload`` scheduled on a fresh 8-node machine."""
+    """A simulator, its scheduler and the jobs of ``workload``, scheduled
+    on a fresh 8-node machine."""
     sim = Simulator()
     cluster = Cluster("mach", nodes=8, cores_per_node=2)
     scheduler = scheduler_class(
@@ -158,22 +162,36 @@ def _rig(scheduler_class, workload: Workload):
             access=access,
         )
         sim.process(reserve_later(float(added), reservation))
-    return sim, jobs
+    return sim, scheduler, jobs
 
 
-def _observed(sim, jobs):
+def _observed(sim, scheduler, jobs):
+    """What both schedulers must agree on, after checking the bookkeeping
+    the release walk and the info service read.
+
+    The releases hold every busy node, so ``free_nodes`` plus the nodes
+    released by any ``t >= now`` is the free count at ``t``; and the kept
+    node-seconds list sums, bit for bit, to the plain sum over the queue.
+    """
+    busy = sum(nodes for _, nodes in scheduler._releases)
+    assert busy == scheduler.cluster.nodes - scheduler.free_nodes
+    plain = sum(
+        scheduler.cluster.nodes_for(job.cores) * job.walltime
+        for job in scheduler.queue
+    )
+    assert repr(scheduler.pending_node_seconds()) == repr(plain)
     return sim.now, [(job.state, job.start_time) for job in jobs]
 
 
 def _assert_lockstep(workload: Workload) -> None:
     production_class, reference_class, _ = POLICIES[workload.policy]
-    sim, jobs = _rig(production_class, workload)
-    reference_sim, reference_jobs = _rig(reference_class, workload)
+    sim, scheduler, jobs = _rig(production_class, workload)
+    reference = _rig(reference_class, workload)
     while len(sim) and sim.peek() <= HORIZON:
         sim.step()
-        reference_sim.step()
-        assert _observed(sim, jobs) == _observed(reference_sim, reference_jobs)
-    assert len(sim) == len(reference_sim)
+        reference[0].step()
+        assert _observed(sim, scheduler, jobs) == _observed(*reference)
+    assert len(sim) == len(reference[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,6 +256,75 @@ def test_earliest_start_sweep_matches_candidate_loop(
     assert sweep == loop
 
 
+# -- the release walk: one prefix walk equals a fresh profile ------------------
+
+
+@st.composite
+def release_states(draw):
+    """A machine's sorted (walltime bound, nodes) releases, some of them at
+    or before ``now``, with ties, and some nodes idle."""
+    releases = sorted(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=30).map(float),
+                    st.integers(min_value=1, max_value=4),
+                ),
+                max_size=8,
+            )
+        )
+    )
+    busy = sum(nodes for _, nodes in releases)
+    total = busy + draw(st.integers(min_value=0 if busy else 1, max_value=3))
+    now = float(draw(st.integers(min_value=0, max_value=20)))
+    return releases, total, now
+
+
+@settings(max_examples=500, deadline=None)
+@given(release_states(), st.data())
+def test_release_walk_matches_a_fresh_profile(state, data):
+    """With no reservation registered, the walk's earliest start and its
+    free nodes over a window equal a fresh profile's answers, floors before,
+    on and after a release included; a request wider than the machine
+    raises the profile's ``ValueError``."""
+    releases, total, now = state
+    edges = sorted({now, *(release for release, _ in releases)})
+    around_edge = st.sampled_from(edges).flatmap(
+        lambda edge: st.sampled_from([edge - 0.5, edge, edge + 0.5])
+    )
+    not_before = data.draw(st.none() | around_edge, label="not_before")
+    window_start = data.draw(around_edge, label="window_start")
+    nodes = data.draw(st.integers(min_value=1, max_value=total + 1), label="nodes")
+    duration = float(data.draw(st.integers(min_value=1, max_value=12)))
+
+    sim = Simulator()
+    sim.run(until=now)
+    scheduler = EasyBackfillScheduler(sim, Cluster("mach", nodes=total, cores_per_node=1))
+    scheduler._releases = releases
+    scheduler.free_nodes = total - sum(released for _, released in releases)
+    profile = CapacityProfile(total, now)
+    profile.add_releases(releases)
+
+    at, free = scheduler._release_walk(0, window_start)
+    assert at == max(window_start, now)
+    assert free == profile.available_during(window_start, duration)
+    if nodes > total:
+        with pytest.raises(ValueError) as walked:
+            scheduler._release_walk(nodes, not_before)
+        with pytest.raises(ValueError) as profiled:
+            profile.earliest_start(nodes, duration, not_before=not_before)
+        assert str(walked.value) == str(profiled.value)
+        return
+    start, free = scheduler._release_walk(nodes, not_before)
+    assert start == profile.earliest_start(nodes, duration, not_before=not_before)
+    assert free == profile.available_during(start, duration) >= nodes
+    job = Job(
+        user="u", account="acct", cores=nodes, walltime=duration,
+        true_runtime=duration, job_id=sim.next_id("job"), not_before=not_before,
+    )
+    assert scheduler.earliest_start(job) == start
+
+
 # -- the head memo: hand-built lockstep scenarios -------------------------------
 #
 # Each scenario sets up a blocked head whose memo (profile and earliest start)
@@ -285,13 +372,14 @@ def _lockstep(script):
     for scheduler_class in (EasyBackfillScheduler, ReferenceEasy):
         sim = Simulator()
         scheduler = scheduler_class(sim, Cluster("mach", nodes=8, cores_per_node=1))
-        runs.append((sim, script(sim, scheduler)))
-    (sim, jobs), (reference_sim, reference_jobs) = runs
+        runs.append((sim, scheduler, script(sim, scheduler)))
+    production, reference = runs
+    sim, jobs = production[0], production[2]
     while len(sim):
         sim.step()
-        reference_sim.step()
-        assert _observed(sim, jobs) == _observed(reference_sim, reference_jobs)
-    assert not len(reference_sim)
+        reference[0].step()
+        assert _observed(*production) == _observed(*reference)
+    assert not len(reference[0])
     return jobs
 
 
@@ -495,27 +583,29 @@ def test_withdrawn_job_resubmitted_starts_once():
 
 
 def test_submit_into_blocked_queue_reuses_the_head_profile():
-    """A submit into a blocked queue that starts nothing builds no profile:
-    the head's memo answers its shadow, leftover nodes and wake-up, and the
+    """With no reservation registered no pass builds a profile: the sorted
+    releases answer the head's shadow, leftover nodes and wake-up, and the
     queued jobs are too wide to need one.  Adding a reservation changes the
-    memo: the next pass builds the head's profile once."""
+    memo: the next pass builds the head's profile once, and a submit that
+    starts nothing reuses it."""
     sim = Simulator()
     built = []
 
     class Counting(EasyBackfillScheduler):
-        def build_profile(self, for_job=None, include_running=True):
+        def build_profile(self, for_job):
             built.append(for_job)
-            return super().build_profile(for_job, include_running)
+            return super().build_profile(for_job)
 
     scheduler = Counting(sim, Cluster("mach", nodes=8, cores_per_node=1))
     running, head = _job(sim, 4, 100), _job(sim, 8, 10)
     queued = [_job(sim, 6, 10) for _ in range(10)]
     for job in (running, head, *queued):
         scheduler.submit(job)
-    built.clear()
     scheduler.submit(_job(sim, 6, 10))
     assert built == []
     scheduler.add_reservation(Reservation(start=500.0, end=600.0, nodes=1))
+    assert built == [head]
+    scheduler.submit(_job(sim, 6, 10))
     assert built == [head]
     assert running.state is JobState.RUNNING
     assert all(job.state is JobState.PENDING for job in (head, *queued))

@@ -128,7 +128,8 @@ def test_cancel_running_job_frees_nodes():
 @pytest.mark.parametrize("policy", [FcfsScheduler, EasyBackfillScheduler])
 def test_queue_bookkeeping_is_dropped_on_every_exit(policy):
     """Starting, cancelling and withdrawing all leave by one path, which
-    forgets the job's arrival number and cached node count."""
+    forgets the job's arrival number, cached node count and the keys and
+    node-seconds stored beside the two queue orders."""
     sim, sched = make_rig(policy, nodes=2)
     blocker = job(2, walltime=100.0)
     cancelled, withdrawn = job(1, walltime=10.0), job(2, walltime=10.0)
@@ -140,12 +141,21 @@ def test_queue_bookkeeping_is_dropped_on_every_exit(policy):
     assert sched.queue == queued
     assert sched._service == [queued[1], queued[0], queued[2]]
     assert len(sched._arrival_order) == len(sched._nodes) == len(queued)
+    arrival = sched._arrival_order
+    assert sched._queue_arrivals == [arrival[j.job_id] for j in sched.queue]
+    assert sched._queue_work == [10.0] * len(queued)
+    assert sched._service_keys == [
+        (-j.priority, arrival[j.job_id]) for j in sched._service
+    ]
     sim.run()
     assert cancelled.state is JobState.CANCELLED
     assert withdrawn.state is JobState.CREATED
     assert all(j.state is JobState.COMPLETED for j in [blocker, *queued])
     assert (sched.queue, sched._arrival_order, sched._nodes) == ([], {}, {})
     assert (sched._service, sched._releases) == ([], [])
+    assert (sched._queue_arrivals, sched._queue_work, sched._service_keys) == (
+        [], [], []
+    )
 
 
 def test_on_job_end_called_once_per_terminal_job():
