@@ -195,7 +195,7 @@ def _write_sidecar(runner, path) -> None:
 def _print_last_run_rates(args) -> None:
     """``cache stats``: hit rates of the latest run, from its sidecar.
 
-    The sidecar's ``cache`` block is a snapshot of the registry-backed
+    The sidecar's ``cache`` block is a snapshot of the runner's
     :class:`~repro.runner.cache.CacheStats`; campaign reuse comes from the
     same terminal summary.  Silent no-op when no run has left telemetry.
     """

@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.infra.accounting import CentralAccountingDB, UsageRecord
 from repro.infra.units import HOUR, MINUTE
-from repro.obs.metrics import CounterAttr, MetricsRegistry
 from repro.sim import Simulator
 
 __all__ = [
@@ -187,34 +186,21 @@ class FaultyTransport:
     deterministic function of the scenario seed.
     """
 
-    packets_sent = CounterAttr("_packets_sent")
-    packets_dropped = CounterAttr("_packets_dropped")
-    packets_duplicated = CounterAttr("_packets_duplicated")
-    packets_corrupted = CounterAttr("_packets_corrupted")
-    packets_reordered = CounterAttr("_packets_reordered")
-    acks_dropped = CounterAttr("_acks_dropped")
-
     def __init__(
         self,
         sim: Simulator,
         endpoint: "AmieIngestEndpoint",
         regime: PacketFaultRegime,
         rng,
-        metrics=None,
     ) -> None:
         self.sim = sim
         self.endpoint = endpoint
         self.regime = regime
         self.rng = rng
-        # ``metrics`` is a (possibly scoped) registry view; counters keep
-        # their attribute API through the CounterAttr descriptors above.
-        scope = metrics if metrics is not None else MetricsRegistry()
-        self._packets_sent = scope.counter("packets_sent")
-        self._packets_dropped = scope.counter("packets_dropped")
-        self._packets_duplicated = scope.counter("packets_duplicated")
-        self._packets_corrupted = scope.counter("packets_corrupted")
-        self._packets_reordered = scope.counter("packets_reordered")
-        self._acks_dropped = scope.counter("acks_dropped")
+        self.packets_dropped = 0
+        self.packets_duplicated = 0
+        self.packets_corrupted = 0
+        self.acks_dropped = 0
 
     def _transit_delay(self) -> float:
         if self.regime.delay_mean <= 0:
@@ -237,7 +223,6 @@ class FaultyTransport:
 
     def send(self, packet: AmiePacket, feed: "ResilientAmieFeed") -> None:
         """Launch one packet toward the endpoint under the fault regime."""
-        self.packets_sent += 1
         if self.rng.random() < self.regime.drop_rate:
             self.packets_dropped += 1
             return
@@ -250,7 +235,6 @@ class FaultyTransport:
         for _ in range(deliveries):
             delay = self._transit_delay()
             if self.rng.random() < self.regime.reorder_rate:
-                self.packets_reordered += 1
                 delay += self.regime.reorder_delay
             self.sim.process(
                 self._deliver(packet, feed, delay),
@@ -307,55 +291,20 @@ class AmieIngestEndpoint:
     original can never double-charge.
     """
 
-    packets_received = CounterAttr("_packets_received")
-    packets_accepted = CounterAttr("_packets_accepted")
-    packets_duplicate = CounterAttr("_packets_duplicate")
-    packets_quarantined = CounterAttr("_packets_quarantined")
-    records_accepted = CounterAttr("_records_accepted")
-    records_duplicate = CounterAttr("_records_duplicate")
-
-    def __init__(
-        self,
-        central: CentralAccountingDB,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, central: CentralAccountingDB) -> None:
         self.central = central
         self._seen: dict[str, set[int]] = {}
         self.quarantine: list[QuarantinedPacket] = []
-        # The endpoint's counters are the oracle's ``ingest.*`` invariant
-        # family: they live unprefixed-by-instance in the run registry (one
-        # central database per run) so every consumer reads the same cells.
-        self._registry = metrics if metrics is not None else MetricsRegistry()
-        scope = self._registry.scoped("ingest")
-        self._packets_received = scope.counter("packets_received")
-        self._packets_accepted = scope.counter("packets_accepted")
-        self._packets_duplicate = scope.counter("packets_duplicate")
-        self._packets_quarantined = scope.counter("packets_quarantined")
-        self._records_accepted = scope.counter("records_accepted")
-        self._records_duplicate = scope.counter("records_duplicate")
-        self._feed_scope = scope.scoped("feed")
+        self.packets_received = 0
+        self.packets_accepted = 0
+        self.packets_duplicate = 0
+        self.packets_quarantined = 0
+        self.records_accepted = 0
+        self.records_duplicate = 0
+        #: records per feed that reached the central DB, accepted from a
+        #: packet or recovered by the audit
+        self._delivered: dict[str, int] = {}
         self.reconciliation: Optional[ReconciliationReport] = None
-
-    def _feed_counter(self, feed_id: str, leaf: str):
-        return self._feed_scope.scoped(feed_id).counter(leaf)
-
-    def _feed_counts(self, leaf: str) -> dict[str, int]:
-        """Per-feed counter view (``ingest.feed.<feed_id>.<leaf>`` cells)."""
-        counts: dict[str, int] = {}
-        prefix = "ingest.feed."
-        for name, instrument in self._registry.family("ingest.feed"):
-            head, _, tail = name.rpartition(".")
-            if tail == leaf:
-                counts[head[len(prefix):]] = instrument.value
-        return counts
-
-    @property
-    def records_accepted_by_feed(self) -> dict[str, int]:
-        return self._feed_counts("records_accepted")
-
-    @property
-    def records_recovered_by_feed(self) -> dict[str, int]:
-        return self._feed_counts("records_recovered")
 
     def receive(self, packet: AmiePacket, at: float = 0.0) -> bool:
         """Process one arriving packet; returns whether to acknowledge it."""
@@ -390,7 +339,9 @@ class AmieIngestEndpoint:
         self.packets_accepted += 1
         self.records_accepted += added
         self.records_duplicate += duplicates
-        self._feed_counter(packet.feed_id, "records_accepted").inc(added)
+        self._delivered[packet.feed_id] = (
+            self.delivered_records(packet.feed_id) + added
+        )
         return True
 
     def _quarantine(
@@ -410,9 +361,7 @@ class AmieIngestEndpoint:
 
     def delivered_records(self, feed_id: str) -> int:
         """Records from ``feed_id`` that made it into the central DB."""
-        return self.records_accepted_by_feed.get(
-            feed_id, 0
-        ) + self.records_recovered_by_feed.get(feed_id, 0)
+        return self._delivered.get(feed_id, 0)
 
     def reconcile(
         self, feeds: Sequence["ResilientAmieFeed"], resend: bool = True
@@ -433,7 +382,9 @@ class AmieIngestEndpoint:
                 added, _duplicates = self.central.ingest(missing)
                 resent = len(missing)
                 recovered = added
-                self._feed_counter(feed.feed_id, "records_recovered").inc(added)
+                self._delivered[feed.feed_id] = (
+                    self.delivered_records(feed.feed_id) + added
+                )
                 feed.settle()
             still_known = self.central.job_ids()
             unrecovered = sum(
@@ -459,16 +410,12 @@ class ResilientAmieFeed:
     """A site's accounting feed over a faulty transport.
 
     Same surface as :class:`~repro.infra.accounting.AmieFeed` (``publish``,
-    ``drain``, ``buffered``, ``batches_sent``, ``on_flush``) plus the
+    ``drain``, ``buffered``, ``on_flush``) plus the
     recovery machinery: sequence numbers, an outbox of unacknowledged
     packets, deterministic-backoff retransmission, and a site-side ledger
     (`ledger`) recording every record ever published — the reconciliation
     audit's ground truth.
     """
-
-    batches_sent = CounterAttr("_batches_sent")
-    retransmits = CounterAttr("_retransmits")
-    records_published = CounterAttr("_records_published")
 
     def __init__(
         self,
@@ -480,7 +427,6 @@ class ResilientAmieFeed:
         rng,
         interval: float = 6 * HOUR,
         on_flush: Optional[Callable[[list[UsageRecord]], None]] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
@@ -490,16 +436,9 @@ class ResilientAmieFeed:
         self.policy = policy
         self.interval = interval
         self.on_flush = on_flush
-        # ``amie.<feed_id>.*`` counters; the transport's land one scope
-        # deeper under ``amie.<feed_id>.transport.*``.
-        registry = metrics if metrics is not None else MetricsRegistry()
-        scope = registry.scoped(f"amie.{feed_id}")
-        self._batches_sent = scope.counter("batches_sent")
-        self._retransmits = scope.counter("retransmits")
-        self._records_published = scope.counter("records_published")
-        self.transport = FaultyTransport(
-            sim, endpoint, regime, rng, metrics=scope.scoped("transport")
-        )
+        self.retransmits = 0
+        self.records_published = 0
+        self.transport = FaultyTransport(sim, endpoint, regime, rng)
         self._buffer: list[UsageRecord] = []
         self.ledger: list[UsageRecord] = []
         self._next_seq = 0
@@ -531,7 +470,6 @@ class ResilientAmieFeed:
         packet = AmiePacket.make(self.feed_id, self._next_seq, batch)
         self._next_seq += 1
         self._send(packet, attempt=1)
-        self.batches_sent += 1
         if self.on_flush is not None:
             self.on_flush(batch)
         return len(batch)

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.infra.job import AttributeKeys, Job, SubmissionInterface
 from repro.infra.site import ResourceProvider
-from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 
 __all__ = ["ScienceGateway"]
@@ -46,7 +45,6 @@ class ScienceGateway:
         tagging_coverage: float = 1.0,
         sim: Optional[Simulator] = None,
         max_backlog: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not (0.0 <= tagging_coverage <= 1.0):
             raise ValueError(
@@ -67,58 +65,12 @@ class ScienceGateway:
         self.backlog: deque[tuple] = deque()
         #: distinct end users who have run at least one job (ground truth)
         self.end_users_served: set[str] = set()
-        # Counters live in the (run-wide) metrics registry under
-        # ``gateway.<name>.*``; the attribute API below is a view onto the
-        # same cells, so the oracle and the registry can never disagree.
-        registry = metrics if metrics is not None else MetricsRegistry()
-        scope = registry.scoped(f"gateway.{name}")
-        self._jobs_submitted = scope.counter("jobs_submitted")
-        self._jobs_tagged = scope.counter("jobs_tagged")
-        self._requests_queued = scope.counter("requests_queued")
-        self._requests_shed = scope.counter("requests_shed")
-        self._backlog_submitted = scope.counter("backlog_submitted")
+        self.jobs_submitted = 0
+        self.jobs_tagged = 0
+        self.requests_queued = 0
+        self.requests_shed = 0
+        self.backlog_submitted = 0
         self._draining: set[str] = set()
-
-    # -- counter views (registry-backed; setters keep ``+=`` working) --------
-    @property
-    def jobs_submitted(self) -> int:
-        return self._jobs_submitted.value
-
-    @jobs_submitted.setter
-    def jobs_submitted(self, value: int) -> None:
-        self._jobs_submitted.set(value)
-
-    @property
-    def jobs_tagged(self) -> int:
-        return self._jobs_tagged.value
-
-    @jobs_tagged.setter
-    def jobs_tagged(self, value: int) -> None:
-        self._jobs_tagged.set(value)
-
-    @property
-    def requests_queued(self) -> int:
-        return self._requests_queued.value
-
-    @requests_queued.setter
-    def requests_queued(self, value: int) -> None:
-        self._requests_queued.set(value)
-
-    @property
-    def requests_shed(self) -> int:
-        return self._requests_shed.value
-
-    @requests_shed.setter
-    def requests_shed(self, value: int) -> None:
-        self._requests_shed.set(value)
-
-    @property
-    def backlog_submitted(self) -> int:
-        return self._backlog_submitted.value
-
-    @backlog_submitted.setter
-    def backlog_submitted(self, value: int) -> None:
-        self._backlog_submitted.set(value)
 
     def submit(
         self,

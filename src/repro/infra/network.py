@@ -70,9 +70,11 @@ class Network:
     filesystem copy, effectively free compared to WAN movement).
     """
 
-    def __init__(self, sim: Simulator, local_copy_time: float = 1.0) -> None:
+    #: seconds a same-site copy takes
+    local_copy_time = 1.0
+
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.local_copy_time = local_copy_time
         self._links: dict[str, NetworkLink] = {}
         self._active: list[Transfer] = []
         self._completed: list[Transfer] = []

@@ -27,7 +27,7 @@ misrepresent and that the federation layer must route around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ import numpy as np
 from repro.infra.scheduler.base import Reservation
 from repro.infra.site import ResourceProvider, SiteDownError
 from repro.infra.units import DAY, HOUR
-from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.sim.distributions import bounded_lognormal
 
@@ -130,7 +129,6 @@ class SiteOutageInjector:
         rng: np.random.Generator,
         policy: Optional[OutagePolicy] = None,
         metascheduler=None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.provider = provider
@@ -138,12 +136,7 @@ class SiteOutageInjector:
         self.policy = policy if policy is not None else OutagePolicy()
         self.metascheduler = metascheduler
         self.outages: list[OutageEvent] = []
-        # Registry-backed counters under ``resilience.<site>.*``; the
-        # attribute API stays (setters keep external ``+=`` working).
-        registry = metrics if metrics is not None else MetricsRegistry()
-        scope = registry.scoped(f"resilience.{provider.name}")
-        self._jobs_killed = scope.counter("jobs_killed")
-        self._requeued = scope.counter("requeued")
+        self.jobs_killed = 0
         if self.policy.site_mtbf > 0:
             sim.process(
                 self._full_cycle(sim), name=f"outage:{provider.name}"
@@ -157,22 +150,6 @@ class SiteOutageInjector:
     @property
     def outage_count(self) -> int:
         return len(self.outages)
-
-    @property
-    def jobs_killed(self) -> int:
-        return self._jobs_killed.value
-
-    @jobs_killed.setter
-    def jobs_killed(self, value: int) -> None:
-        self._jobs_killed.set(value)
-
-    @property
-    def requeued(self) -> int:
-        return self._requeued.value
-
-    @requeued.setter
-    def requeued(self, value: int) -> None:
-        self._requeued.set(value)
 
     def _repair_time(self) -> float:
         policy = self.policy
@@ -202,7 +179,7 @@ class SiteOutageInjector:
             self.jobs_killed += outage.jobs_killed
             self.outages.append(outage)
             if self.metascheduler is not None:
-                self.requeued += self.metascheduler.handle_outage(self.provider)
+                self.metascheduler.handle_outage(self.provider)
             yield sim.timeout(repair)
             self.provider.mark_up()
             outage.end = sim.now

@@ -1,10 +1,15 @@
 """Observability: two-domain tracing, metrics registry, telemetry sidecar.
 
 Layer contract: ``repro.obs`` may import from anywhere in the package, but
-``repro.sim`` must never import ``repro.obs`` — the kernel exposes a
-duck-typed tracer slot (:func:`repro.sim.engine.set_default_tracer`) and
-this package fills it.  Nothing in this package may influence report
-bytes; that invariant is CI-enforced as a byte-diff.
+only two modules outside it import ``repro.obs``: the CLI
+(``repro.__main__``) and the runner (``repro.runner.parallel``, whose
+worker imports :func:`~repro.obs.trace.traced_simulation` lazily when a
+task's simulations are traced).  The simulated world never does: the
+kernel exposes a duck-typed tracer slot
+(:func:`repro.sim.engine.set_default_tracer`) that this package fills, and
+components keep their counters as plain attributes.
+``tests/test_layering.py`` holds the contract.  Nothing in this package may
+influence report bytes; that invariant is CI-enforced as a byte-diff.
 """
 
 from repro.obs.export import (
@@ -12,13 +17,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import (
-    Counter,
-    CounterAttr,
-    Histogram,
-    MetricsRegistry,
-    ScopedRegistry,
-)
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.profile import (
     profile_experiment,
     render_hot_path_table,
@@ -38,10 +37,8 @@ from repro.obs.trace import SimTracer, process_type, traced_simulation
 __all__ = [
     "SCHEMA",
     "Counter",
-    "CounterAttr",
     "Histogram",
     "MetricsRegistry",
-    "ScopedRegistry",
     "SimTracer",
     "Telemetry",
     "chrome_trace_from_tracer",

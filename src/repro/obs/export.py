@@ -30,14 +30,17 @@ _KNOWN_PHASES = {"X", "i", "I", "M"}
 #: simulated weeks, and viewers choke on 10^12-microsecond extents.
 _SIM_SECONDS_TO_US = 1.0
 
+#: Every track belongs to one trace process, the simulation.
+_PID = 1
 
-def chrome_trace_from_tracer(tracer, pid: int = 1) -> dict:
+
+def chrome_trace_from_tracer(tracer) -> dict:
     """Render a :class:`SimTracer`'s process spans as a Chrome trace."""
     events: list[dict] = [
         {
             "name": "process_name",
             "ph": "M",
-            "pid": pid,
+            "pid": _PID,
             "tid": 0,
             "args": {"name": "sim-time"},
         }
@@ -55,7 +58,7 @@ def chrome_trace_from_tracer(tracer, pid: int = 1) -> dict:
                 # zero-length rather than stretching to infinity.
                 "dur": ((end - start) if end is not None else 0.0)
                 * _SIM_SECONDS_TO_US,
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
             }
         )
@@ -64,7 +67,7 @@ def chrome_trace_from_tracer(tracer, pid: int = 1) -> dict:
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
                 "args": {"name": kind},
             }

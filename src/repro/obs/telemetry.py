@@ -49,9 +49,10 @@ SCHEMA = "repro-telemetry/1"
 class Telemetry:
     """Accumulates one run's wall-domain records; writes the sidecar.
 
-    The attached :class:`MetricsRegistry` carries the runner-side counter
-    families (``runner.*``); scenario-level registries live inside worker
-    processes and surface here only through the aggregated summary record.
+    The attached :class:`MetricsRegistry` is the program's only one: the
+    runner writes its ``runner.*`` task counts and the ``artifacts.*``
+    store deltas its executions report.  Simulation components keep their
+    counters as plain attributes, which no sidecar record carries.
     """
 
     def __init__(self, run_id: Optional[str] = None) -> None:

@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ClassVar, Optional
 
-from repro.obs.metrics import CounterAttr, MetricsRegistry
-
 __all__ = [
     "CacheStats",
     "ResultCache",
@@ -116,48 +114,14 @@ def fsync_dir(directory: Path) -> None:
         os.close(dir_fd)
 
 
+@dataclass
 class CacheStats:
-    """Hit/miss/write/quarantine counters for one runner invocation.
+    """Hit/miss/write/quarantine counters for one runner invocation."""
 
-    Registry-backed: the four counters are ``cache.*`` cells in a
-    :class:`MetricsRegistry` (a private one by default, or the run-wide
-    registry when ``metrics`` is passed), read and written through the
-    same attribute API the old plain-int dataclass exposed.
-    """
-
-    hits = CounterAttr("_hits")
-    misses = CounterAttr("_misses")
-    writes = CounterAttr("_writes")
-    quarantined = CounterAttr("_quarantined")
-
-    def __init__(
-        self,
-        hits: int = 0,
-        misses: int = 0,
-        writes: int = 0,
-        quarantined: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        registry = metrics if metrics is not None else MetricsRegistry()
-        scope = registry.scoped("cache")
-        self._hits = scope.counter("hits")
-        self._misses = scope.counter("misses")
-        self._writes = scope.counter("writes")
-        self._quarantined = scope.counter("quarantined")
-        for cell, value in (
-            (self._hits, hits),
-            (self._misses, misses),
-            (self._writes, writes),
-            (self._quarantined, quarantined),
-        ):
-            if value:
-                cell.inc(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"writes={self.writes}, quarantined={self.quarantined})"
-        )
+    hits: int = 0
+    misses: int = 0
+    writes: int = 0
+    quarantined: int = 0
 
     def __str__(self) -> str:
         text = f"{self.hits} hits, {self.misses} misses"

@@ -63,7 +63,7 @@ from repro.runner.artifacts import (
     stats_delta,
     stats_snapshot,
 )
-from repro.runner.cache import CacheStats, ResultCache
+from repro.runner.cache import ResultCache
 from repro.runner.chaos import chaos_from_env
 from repro.runner.journal import RunJournal, task_key
 from repro.runner.retry import (
@@ -251,18 +251,6 @@ class ParallelRunner:
         #: trace each task's simulations (inline or in workers) and record
         #: the deterministic sim-domain summary per task in the sidecar
         self.trace_sim = bool(trace_sim) and telemetry is not None
-        if self.telemetry is not None and self.cache is not None:
-            # Re-home the cache counters onto the run-wide registry so the
-            # sidecar's metrics snapshot includes ``cache.*`` (any values
-            # already accumulated carry over).
-            stats = self.cache.stats
-            self.cache.stats = CacheStats(
-                hits=stats.hits,
-                misses=stats.misses,
-                writes=stats.writes,
-                quarantined=stats.quarantined,
-                metrics=self.telemetry.metrics,
-            )
         # -- per-runner telemetry (surfaced on stderr by the CLI) --
         self.failures: list[TaskFailure] = []
         self.degraded_tasks: list[str] = []

@@ -17,10 +17,7 @@ for every federation the simulator can legally produce:
   totals ≡ record totals);
 * **bounded lost work** — each unplanned outage kills no more jobs than the
   machine could possibly run, the killed jobs' cores fit the machine, and
-  per-site kill counters agree with the injector's event log;
-* **metrics consistency** — every component counter that migrated onto the
-  run-wide :class:`~repro.obs.metrics.MetricsRegistry` reads back identically
-  through the registry and through the component attribute (no shadow ints).
+  per-site kill counters agree with the injector's event log.
 
 :func:`check_scenario` runs all of them and returns an :class:`OracleReport`;
 ``report.ok`` is the fuzzing harness's pass/fail signal and
@@ -411,78 +408,6 @@ def check_bounded_lost_work(result, report: OracleReport) -> None:
         report.record(invariant, True)
 
 
-def check_metrics_registry(result, report: OracleReport) -> None:
-    """The metric registry and the component attributes are the same cells.
-
-    Every counter a component exposes as an attribute (gateway submissions,
-    injector kills, ingest packet ledgers, feed publish counts) must read
-    back identically through the run-wide :class:`MetricsRegistry` — the
-    migration onto the registry is only safe if no component secretly kept a
-    shadow int.  Results with no registry (hand-built in tests) pass
-    vacuously.
-    """
-    registry = getattr(result, "metrics", None)
-    if registry is None:
-        report.record("metrics.registry_consistent", True)
-        return
-    expected: list[tuple[str, int]] = []
-    for name, gateway in getattr(result, "gateways", {}).items():
-        expected += [
-            (f"gateway.{name}.jobs_submitted", gateway.jobs_submitted),
-            (f"gateway.{name}.jobs_tagged", gateway.jobs_tagged),
-            (f"gateway.{name}.requests_queued", gateway.requests_queued),
-            (f"gateway.{name}.requests_shed", gateway.requests_shed),
-            (f"gateway.{name}.backlog_submitted", gateway.backlog_submitted),
-        ]
-    for injector in getattr(result, "injectors", []):
-        site = injector.provider.name
-        expected += [
-            (f"resilience.{site}.jobs_killed", injector.jobs_killed),
-            (f"resilience.{site}.requeued", injector.requeued),
-        ]
-    endpoint = getattr(result, "amie_endpoint", None)
-    if endpoint is not None:
-        expected += [
-            ("ingest.packets_received", endpoint.packets_received),
-            ("ingest.packets_accepted", endpoint.packets_accepted),
-            ("ingest.packets_duplicate", endpoint.packets_duplicate),
-            ("ingest.packets_quarantined", endpoint.packets_quarantined),
-            ("ingest.records_accepted", endpoint.records_accepted),
-            ("ingest.records_duplicate", endpoint.records_duplicate),
-        ]
-        for provider in result.providers:
-            feed = provider.feed
-            scope = f"amie.{feed.feed_id}"
-            expected += [
-                (f"{scope}.batches_sent", feed.batches_sent),
-                (f"{scope}.retransmits", feed.retransmits),
-                (f"{scope}.records_published", feed.records_published),
-                (
-                    f"{scope}.transport.packets_sent",
-                    feed.transport.packets_sent,
-                ),
-                (
-                    f"{scope}.transport.packets_dropped",
-                    feed.transport.packets_dropped,
-                ),
-            ]
-    for name, value in expected:
-        if name not in registry:
-            report.record(
-                "metrics.registry_consistent",
-                False,
-                f"{name} missing from the registry",
-            )
-        elif registry.value(name) != value:
-            report.record(
-                "metrics.registry_consistent",
-                False,
-                f"{name}: registry reads {registry.value(name)}, "
-                f"component attribute reads {value}",
-            )
-    report.record("metrics.registry_consistent", True)
-
-
 def check_scenario(result) -> OracleReport:
     """Run every invariant over one :class:`ScenarioResult`."""
     report = OracleReport()
@@ -492,5 +417,4 @@ def check_scenario(result) -> OracleReport:
     check_records_wellformed(result, report)
     check_classifier_sanity(result, report)
     check_bounded_lost_work(result, report)
-    check_metrics_registry(result, report)
     return report

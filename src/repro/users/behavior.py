@@ -36,6 +36,13 @@ __all__ = [
     "start_behaviors",
 ]
 
+#: fraction of CLI submissions that go through GRAM middleware
+GRAM_FRACTION = 0.15
+#: fraction of batch sessions sent somewhere other than the home site
+ROAMING_FRACTION = 0.15
+#: fraction of a batch user's sessions that are porting/testing work
+BATCH_PORTING_SESSION_PROB = 0.12
+
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -115,15 +122,9 @@ class SimulationContext:
     coallocator: CoAllocator
     login: LoginSubmitter = dataclass_field(default_factory=LoginSubmitter)
     gram: GramSubmitter = dataclass_field(default_factory=GramSubmitter)
-    #: fraction of CLI submissions that go through GRAM middleware
-    gram_fraction: float = 0.15
-    #: fraction of batch sessions sent somewhere other than the home site
-    roaming_fraction: float = 0.15
     #: gateway end users become active uniformly over this many seconds
     #: (0 = everyone active from the start); models gateway adoption growth
     gateway_adoption_ramp: float = 0.0
-    #: fraction of a batch user's sessions that are porting/testing work
-    batch_porting_session_prob: float = 0.12
     #: WAN used for input staging (None disables data movement modeling)
     network: Optional["object"] = None
     #: per-modality reaction to infrastructure failure; None = legacy
@@ -205,7 +206,7 @@ def _think(ctx: SimulationContext, rng: np.random.Generator, mean: float):
 
 def _submit_cli(ctx: SimulationContext, rng, site: ResourceProvider, job: Job):
     """Submit via login node or (sometimes) GRAM middleware."""
-    if rng.random() < ctx.gram_fraction:
+    if rng.random() < GRAM_FRACTION:
         ctx.gram.submit(site, job)
     else:
         ctx.login.submit(site, job)
@@ -214,7 +215,7 @@ def _submit_cli(ctx: SimulationContext, rng, site: ResourceProvider, job: Job):
 def _session_site(ctx: SimulationContext, rng, user: User) -> ResourceProvider:
     """The user's home site, or occasionally somewhere else entirely."""
     home = ctx.provider(user.home_site)
-    if len(ctx.providers) > 1 and rng.random() < ctx.roaming_fraction:
+    if len(ctx.providers) > 1 and rng.random() < ROAMING_FRACTION:
         others = [p for p in ctx.providers if p.name != user.home_site]
         return others[int(rng.integers(len(others)))]
     return home
@@ -430,7 +431,7 @@ def batch_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
         stage = _stage_inputs(ctx, rng, user, site, Modality.BATCH)
         if stage is not None:
             yield stage
-        if rng.random() < ctx.batch_porting_session_prob:
+        if rng.random() < BATCH_PORTING_SESSION_PROB:
             for _ in range(int(rng.integers(1, 5))):
                 job = sample_job(
                     rng,

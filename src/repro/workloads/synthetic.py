@@ -46,8 +46,7 @@ from repro.infra.metascheduler import SelectionStrategy
 from repro.infra.resilience import OutagePolicy, SiteOutageInjector
 from repro.infra.scheduler.base import BatchScheduler
 from repro.infra.scheduler.backfill import EasyBackfillScheduler
-from repro.infra.units import DAY, HOUR, MINUTE
-from repro.obs.metrics import MetricsRegistry
+from repro.infra.units import DAY, MINUTE
 from repro.sim import RandomStreams, Simulator
 from repro.users.behavior import (
     RecoveryPolicy,
@@ -91,8 +90,6 @@ class ScenarioConfig:
         EasyBackfillScheduler
     )
     metascheduler_strategy: SelectionStrategy = SelectionStrategy.PREDICTED_START
-    amie_interval: float = 6 * HOUR
-    info_publish_interval: float = 15 * 60.0
     profiles: Optional[dict[Modality, BehaviorProfile]] = None
     sites: Optional[tuple[SiteSpec, ...]] = None
     #: gateway end users activate uniformly over this many days (0 = at once)
@@ -101,7 +98,8 @@ class ScenarioConfig:
     outages: Optional[OutagePolicy] = None
     #: how long the info service keeps serving pre-outage state for a dead site
     outage_propagation_lag: float = 10 * MINUTE
-    #: per-modality reaction to infrastructure failure (None = legacy)
+    #: per-modality reaction to infrastructure failure (None = legacy; a
+    #: run with ``outages`` needs one)
     recovery: Optional[dict[Modality, RecoveryPolicy]] = None
     #: gateway requests held through a backend outage (0 = shed them all)
     gateway_backlog: int = 0
@@ -132,19 +130,17 @@ class ScenarioConfig:
                 "gateway_adoption_ramp_days must be >= 0, "
                 f"got {self.gateway_adoption_ramp_days}"
             )
-        if self.amie_interval <= 0:
-            raise ValueError(
-                f"amie_interval must be positive, got {self.amie_interval}"
-            )
-        if self.info_publish_interval <= 0:
-            raise ValueError(
-                "info_publish_interval must be positive, "
-                f"got {self.info_publish_interval}"
-            )
         if self.outage_propagation_lag < 0:
             raise ValueError(
                 "outage_propagation_lag must be >= 0, "
                 f"got {self.outage_propagation_lag}"
+            )
+        if self.outages is not None and self.recovery is None:
+            # Without a recovery map the behaviours do not expect a down
+            # site, and the first submission to one kills the run.
+            raise ValueError(
+                "outages needs a recovery map: set recovery= "
+                "(e.g. DEFAULT_RECOVERY or no_recovery())"
             )
         if self.packet_faults is not None and not isinstance(
             self.packet_faults, PacketFaultRegime
@@ -195,10 +191,6 @@ class ScenarioResult:
     amie_endpoint: Optional[AmieIngestEndpoint] = None
     #: end-of-run audit outcome (None = lossless run)
     reconciliation: Optional[ReconciliationReport] = None
-    #: the run-wide metric namespace every component registered into
-    #: (``ingest.*``, ``gateway.*``, ``resilience.*``, ``amie.*``); None only
-    #: for results constructed by hand in tests
-    metrics: Optional[MetricsRegistry] = None
 
     @property
     def records(self) -> list[UsageRecord]:
@@ -266,10 +258,6 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
     ledger = infra.AllocationLedger()
     central = CentralAccountingDB()
     network = infra.Network(sim)
-    # One metric namespace per run: every component below registers its
-    # counters here, so the oracle (and the telemetry sidecar) read the same
-    # cells the components mutate.
-    metrics = MetricsRegistry()
 
     # A disabled regime takes the plain lossless path below — not merely an
     # equivalent-looking one: the resilient feed schedules extra simulator
@@ -277,7 +265,7 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
     endpoint = None
     recovery = None
     if config.faulty_ingest:
-        endpoint = AmieIngestEndpoint(central, metrics=metrics)
+        endpoint = AmieIngestEndpoint(central)
         recovery = (
             config.ingest_recovery
             if config.ingest_recovery is not None
@@ -299,8 +287,6 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
                     regime=config.packet_faults,
                     policy=_recovery,
                     rng=streams.stream(f"amie:{_name}"),
-                    interval=config.amie_interval,
-                    metrics=metrics,
                 )
         provider = infra.ResourceProvider(
             sim,
@@ -308,15 +294,12 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
             ledger,
             central,
             scheduler_factory=config.scheduler_factory,
-            amie_interval=config.amie_interval,
             feed_factory=feed_factory,
         )
         providers.append(provider)
         network.add_site(spec.name, spec.wan_bandwidth)
 
-    info = infra.InformationService(
-        sim, providers, publish_interval=config.info_publish_interval
-    )
+    info = infra.InformationService(sim, providers, publish_interval=15 * MINUTE)
     meta = infra.Metascheduler(
         providers,
         config.metascheduler_strategy,
@@ -338,7 +321,6 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
             tagging_coverage=config.gateway_tagging_coverage,
             sim=sim,
             max_backlog=config.gateway_backlog,
-            metrics=metrics,
         )
         for name, (community_user, account) in population.community_accounts.items()
     }
@@ -353,7 +335,6 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
                 streams.stream(f"outage:{provider.name}"),
                 policy=config.outages,
                 metascheduler=meta,
-                metrics=metrics,
             )
             for provider in providers
         ]
@@ -396,7 +377,6 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
         injectors=injectors,
         amie_endpoint=endpoint,
         reconciliation=reconciliation,
-        metrics=metrics,
     )
 
 
@@ -503,15 +483,11 @@ class CampaignArtifact:
     community_accounts: frozenset[str]
     total_nu: float
     transfers: tuple[TransferSummary, ...]
-    #: deterministic registry snapshot (:meth:`MetricsRegistry.as_dict`) taken
-    #: at extraction time; empty for hand-built results with no registry
-    metric_snapshot: dict = field(default_factory=dict)
 
     @classmethod
     def from_result(
         cls, result: ScenarioResult, key: Optional[CampaignKey] = None
     ) -> "CampaignArtifact":
-        registry = getattr(result, "metrics", None)
         return cls(
             key=key,
             records=result.records,
@@ -530,7 +506,6 @@ class CampaignArtifact:
                 )
                 for t in result.network.completed_transfers
             ),
-            metric_snapshot=registry.as_dict() if registry is not None else {},
         )
 
     def truth_by_job(self) -> dict[int, Modality]:

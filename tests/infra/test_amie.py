@@ -284,6 +284,43 @@ def test_reconcile_recovers_lost_records():
     assert feed.unacked == 0  # settle() closed the outbox
 
 
+def test_reconcile_counts_each_feed_apart():
+    """A feed's delivered records: accepted off the wire, then recovered."""
+    sim = Simulator()
+    central = CentralAccountingDB()
+    endpoint = AmieIngestEndpoint(central)
+    streams = RandomStreams(seed=7)
+
+    def feed(feed_id, regime):
+        return ResilientAmieFeed(
+            sim,
+            endpoint,
+            feed_id=feed_id,
+            regime=regime,
+            policy=IngestRecoveryPolicy(retransmit=False),
+            rng=streams.stream(f"amie:{feed_id}"),
+            interval=HOUR,
+        )
+
+    clean = feed("site00", PacketFaultRegime())
+    lossy = feed("site01", PacketFaultRegime(drop_rate=1.0))
+    for user in ("alice", "bob", "carol"):
+        clean.publish(record(user=user))
+    for user in ("dave", "erin"):
+        lossy.publish(record(user=user))
+    sim.run(until=HOUR + 1)
+    assert endpoint.delivered_records("site00") == 3
+    assert endpoint.delivered_records("site01") == 0
+
+    report = endpoint.reconcile([clean, lossy], resend=True)
+    assert endpoint.delivered_records("site00") == 3
+    assert endpoint.delivered_records("site01") == 2
+    assert [
+        (audit.feed_id, audit.delivered, audit.recovered, audit.unrecovered)
+        for audit in report.audits
+    ] == [("site00", 3, 0, 0), ("site01", 2, 2, 0)]
+
+
 def test_reconcile_without_resend_only_reports():
     sim, central, endpoint, feed = exchange(
         regime=PacketFaultRegime(drop_rate=1.0),

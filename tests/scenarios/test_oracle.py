@@ -75,7 +75,7 @@ def test_clean_run_is_green(result):
     # Every invariant family actually ran.
     assert {c.split(".")[0] for c in report.checks} == {
         "conservation", "ingest", "double_charge", "records", "classifier",
-        "lost_work", "metrics",
+        "lost_work",
     }
 
 

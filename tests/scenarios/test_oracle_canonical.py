@@ -36,7 +36,6 @@ def test_every_invariant_family_ran(canonical):
         "records",
         "classifier",
         "lost_work",
-        "metrics",
     }
     assert all(report.checks.values())
 

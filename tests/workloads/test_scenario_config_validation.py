@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.infra.resilience import OutagePolicy
 from repro.workloads import ScenarioConfig
 
 
@@ -14,10 +15,11 @@ from repro.workloads import ScenarioConfig
         ({"gateway_tagging_coverage": 1.5}, "gateway_tagging_coverage"),
         ({"gateway_backlog": -1}, "gateway_backlog must be >= 0"),
         ({"gateway_adoption_ramp_days": -2.0}, "gateway_adoption_ramp_days"),
-        ({"amie_interval": 0.0}, "amie_interval must be positive"),
-        ({"amie_interval": -3600.0}, "amie_interval must be positive"),
-        ({"info_publish_interval": 0.0}, "info_publish_interval"),
         ({"outage_propagation_lag": -60.0}, "outage_propagation_lag"),
+        (
+            {"outages": OutagePolicy()},
+            "outages needs a recovery map: set recovery=",
+        ),
     ],
 )
 def test_bad_knob_rejected_with_nameable_error(knobs, message):
