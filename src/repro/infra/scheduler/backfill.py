@@ -28,11 +28,12 @@ release or a reservation edge passing does not rebuild it: each changes
 only the past, so the memo still answers every query from now on.  While
 a reservation is registered the memo keeps the head's capacity profile,
 and the nodes left over at the shadow are read from it; otherwise no
-profile is built, and the start and the leftover nodes are both a prefix
-walk over the running jobs' sorted walltime-bound releases
-(``BatchScheduler._release_walk``).  Every other queued job is still
-tested on every pass; the cheap node and shadow tests stop most of them
-before ``can_start_now``.
+profile is built: one prefix walk over the running jobs' sorted
+walltime-bound releases (``BatchScheduler._release_walk``) finds the start
+and the nodes free there, and the memo keeps both (a sticky shadow at
+another time walks again).  Every other queued job is still tested on
+every pass; the cheap node and shadow tests stop most of them before
+``can_start_now``.
 """
 
 from __future__ import annotations
@@ -121,19 +122,24 @@ class EasyBackfillScheduler(BatchScheduler):
         extra_nodes = free_at_shadow - self._nodes[head.job_id]
 
         # Cheap tests first: can_start_now is pure, so asking it last (and
-        # only for jobs that could not delay the head) changes nothing.
+        # only for jobs that could not delay the head) changes nothing.  Only
+        # _start changes the free nodes, so they are re-read after it.
+        free = self.free_nodes
+        node_counts = self._nodes
+        shadow_end = shadow_start + _EPSILON
         for job in order[1:]:
-            if self.free_nodes == 0:
+            if free == 0:
                 return
-            nodes = self._nodes[job.job_id]
-            if nodes > self.free_nodes:
+            nodes = node_counts[job.job_id]
+            if nodes > free:
                 continue
-            ends_before_shadow = now + job.walltime <= shadow_start + _EPSILON
+            ends_before_shadow = now + job.walltime <= shadow_end
             fits_in_extra = nodes <= extra_nodes
             if not (ends_before_shadow or fits_in_extra):
                 continue
             if not self.can_start_now(job):
                 continue
             self._start(job)
+            free = self.free_nodes
             if fits_in_extra and not ends_before_shadow:
                 extra_nodes -= nodes

@@ -49,7 +49,8 @@ class RunningJob:
 class _HeadMemo:
     """The queue head's earliest start, built at ``built``, and the capacity
     profile it was read from (``None``: read off the sorted releases, with
-    no reservation registered).
+    no reservation registered, and then ``free`` holds the nodes free at
+    ``start``).
 
     See :meth:`BatchScheduler._head_memo` for when it may be reused.
     """
@@ -59,6 +60,7 @@ class _HeadMemo:
     built: float
     profile: Optional[CapacityProfile]
     start: float
+    free: int = 0
 
 
 class BatchScheduler:
@@ -413,7 +415,9 @@ class BatchScheduler:
         is the fewest free nodes anywhere in the job's window unless a
         reservation the job may not use reaches into it.  With no
         reservation registered the answer is the free-node test; only such
-        a reservation makes it need a profile.
+        a reservation makes it need a profile, and not even then when that
+        reservation alone leaves the job too few nodes inside its window
+        (a drain window of the whole machine): the answer is no.
         """
         now = self.sim.now
         if job.not_before is not None and now < job.not_before - 1e-9:
@@ -424,12 +428,26 @@ class BatchScheduler:
         if not self.reservations:
             return True
         window_end = now + job.walltime
-        if not any(
-            reservation.end > now
-            and reservation.start <= window_end
-            and not reservation.admits(job)
-            for reservation in self.reservations
-        ):
+        spare = self.cluster.nodes - nodes
+        overlaps = False
+        for reservation in self.reservations:
+            if (
+                reservation.end <= now
+                or reservation.start > window_end
+                or reservation.admits(job)
+            ):
+                continue
+            # A reservation that alone leaves too few nodes says no, if it
+            # counts in the window as CapacityProfile.available_during
+            # counts a step: in force at now, or starting before the
+            # window's end less its epsilon.
+            if reservation.nodes > spare and (
+                reservation.start <= now
+                or reservation.start < window_end - 1e-9
+            ):
+                return False
+            overlaps = True
+        if not overlaps:
             return True
         profile = self.build_profile(job)
         return profile.available_during(now, job.walltime) >= nodes
@@ -475,18 +493,24 @@ class BatchScheduler:
             start = profile.earliest_start(
                 nodes, head.walltime, not_before=head.not_before
             )
+            memo = _HeadMemo(head, self._version, now, profile, start)
         else:
-            profile = None
-            start = self._release_walk(nodes, head.not_before)[0]
-        self._memo = memo = _HeadMemo(head, self._version, now, profile, start)
+            start, free = self._release_walk(nodes, head.not_before)
+            memo = _HeadMemo(head, self._version, now, None, start, free)
+        self._memo = memo
         return memo
 
     def _head_free_during(self, memo: _HeadMemo, start: float) -> int:
         """Fewest nodes free over the head's window from ``start`` (at or
         after now), as the head sees them: from the memo's profile, or off
         the releases when the memo has none (no reservation was added since
-        it was built, so none is registered)."""
+        it was built, so none is registered).  At the memo's own start the
+        walk that found that start has the answer: ``memo.free`` (the free
+        nodes and the releases have not moved while ``_version`` stands).
+        """
         if memo.profile is None:
+            if start == memo.start:
+                return memo.free
             return self._release_walk(0, start)[1]
         return memo.profile.available_during(start, memo.head.walltime)
 

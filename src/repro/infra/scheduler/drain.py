@@ -53,6 +53,8 @@ class WeeklyDrainScheduler(EasyBackfillScheduler):
         if window <= 0 or period <= 0 or window > period:
             raise ValueError("need 0 < window <= period")
         self.capability_fraction = capability_fraction
+        #: capability jobs need at least this many nodes
+        self._capability_nodes = capability_fraction * cluster.nodes
         self.window = window
         self.period = period
         self.windows_opened = 0
@@ -64,7 +66,7 @@ class WeeklyDrainScheduler(EasyBackfillScheduler):
         nodes = self._nodes.get(job.job_id)
         if nodes is None:
             nodes = self.cluster.nodes_for(job.cores)
-        return nodes >= self.capability_fraction * self.cluster.nodes
+        return nodes >= self._capability_nodes
 
     # -- recurring reservation --------------------------------------------------
     def _window_cycle(self, sim: Simulator, first_window: float):
@@ -95,16 +97,20 @@ class WeeklyDrainScheduler(EasyBackfillScheduler):
 
     # -- policy ---------------------------------------------------------------------
     def _ordered_queue(self) -> list[Job]:
+        # Every job here is queued, so its node count is in ``_nodes``: the
+        # capability test is one comparison per job.
         order = super()._ordered_queue()
+        nodes, threshold = self._nodes, self._capability_nodes
         if self._in_window():
             # Capability jobs first while the machine is cleared.
+            arrival = self._arrival_order
             return sorted(
                 order,
                 key=lambda job: (
-                    0 if self.is_capability_job(job) else 1,
-                    self._arrival_order[job.job_id],
+                    nodes[job.job_id] < threshold,
+                    arrival[job.job_id],
                 ),
             )
         # Outside windows, capability jobs are invisible to the scheduler so
         # they cannot pin a shadow reservation and drain the machine.
-        return [job for job in order if not self.is_capability_job(job)]
+        return [job for job in order if nodes[job.job_id] < threshold]

@@ -5,6 +5,14 @@ control stream identity (see :mod:`repro.sim.rng`).  Runtimes and think times
 are modelled with bounded lognormals, and job sizes lean to powers of two,
 the standard choices in the workload-modelling literature (Lublin &
 Feitelson, JPDC 2003).
+
+:func:`uniform` is the scalar uniform draw the simulation makes per job and
+per session.  numpy's ``Generator`` defines ``uniform(a, b)`` as exactly
+``a + (b - a) * random()``, so this form returns the same doubles from the
+same stream and raises what numpy raises on bad arguments; it skips the
+array conversions numpy makes first, which make a scalar ``uniform(a, b)``
+about three times as costly as ``random()``.
+``tests/sim/test_distributions.py`` holds it to numpy's own method.
 """
 
 from __future__ import annotations
@@ -13,7 +21,23 @@ import math
 
 import numpy as np
 
-__all__ = ["bounded_lognormal", "log2_cores"]
+__all__ = ["bounded_lognormal", "log2_cores", "uniform"]
+
+_INF = math.inf
+
+
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)``: a draw from ``[low, high)``."""
+    span = high - low
+    # numpy refuses a spread that is not finite (NaN too) and one whose sign
+    # bit is set (-0.0 too); the positive finite spreads the simulation
+    # passes clear the chained comparison at once.
+    if not 0.0 < span < _INF:
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if math.copysign(1.0, span) < 0:
+            raise ValueError("high - low < 0")
+    return low + span * rng.random()
 
 
 def bounded_lognormal(

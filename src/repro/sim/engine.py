@@ -62,21 +62,22 @@ class Simulator:
     makes every run fully reproducible for a fixed seed.  Time is a float in
     arbitrary units; the TeraGrid substrate uses seconds.  The simulator also
     mints the ids of what runs in it (:meth:`next_id`).
+
+    ``now`` is the current simulated time, a plain attribute read on every
+    event.  Only the run loop (:meth:`step` and :meth:`run`) moves it.
     """
 
     def __init__(self, start_time: float = 0.0, tracer=None) -> None:
-        self._now = float(start_time)
+        now = float(start_time)
+        if now != now:  # NaN: every event time would be NaN
+            raise SimulationError(f"start_time must not be NaN, got {start_time!r}")
+        self.now = now
         self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self._tracer = tracer if tracer is not None else _default_tracer
         self._ids: dict[str, int] = {}
 
     # -- introspection -------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
     def peek(self) -> float:
         """Time of the next scheduled event.
 
@@ -139,20 +140,24 @@ class Simulator:
     def _schedule(
         self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
     ) -> None:
-        if delay < 0:
+        # Written so that a NaN delay fails too.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
+        when = self.now + delay
         heapq.heappush(self._heap, (when, priority, next(self._eid), event))
         if self._tracer is not None:
             self._tracer.on_schedule(len(self._heap))
 
     # -- run loop ----------------------------------------------------------------
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
+        """Process exactly one event (advancing the clock to it).
+
+        A failed event that no waiter defused re-raises its exception here.
+        """
         if not self._heap:
             raise SimulationError("step() on an empty event heap")
         when, _priority, _eid, event = heapq.heappop(self._heap)
-        self._now = when
+        self.now = when
         tracer = self._tracer
         if tracer is None:
             callbacks, event.callbacks = event.callbacks, None
@@ -178,6 +183,10 @@ class Simulator:
           to exactly ``until`` on return, even if no event fires then);
         * an :class:`Event` — run until that event has been processed, and
           return its value (re-raising its exception on failure).
+
+        A failed event that no waiter defused stops the run and re-raises
+        its exception; ``StopSimulation`` from a callback or process ends
+        the run early (the clock stays at the stopping event).
         """
         if until is None:
             while self._heap:
@@ -224,14 +233,15 @@ class Simulator:
             return target.value
 
         horizon = float(until)
-        if horizon < self._now:
+        # Written so that a NaN horizon fails too.
+        if not horizon >= self.now:
             raise SimulationError(
-                f"run(until={horizon}) is in the past (now={self._now})"
+                f"run(until={horizon}) is in the past (now={self.now})"
             )
         while self._heap and self._heap[0][0] <= horizon:
             try:
                 self.step()
             except StopSimulation:
                 return None
-        self._now = horizon
+        self.now = horizon
         return None

@@ -138,8 +138,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        # Written so that a NaN delay fails too.
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(sim)
         self.delay = float(delay)
         self._triggered = True
@@ -190,7 +191,7 @@ class Process(Event):
         sim = self.sim
         tracer = sim._tracer
         if tracer is not None:
-            tracer.on_resume(self, sim._now)
+            tracer.on_resume(self, sim.now)
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -199,12 +200,12 @@ class Process(Event):
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
             if tracer is not None:
-                tracer.on_process_end(self, sim._now)
+                tracer.on_process_end(self, sim.now)
             self.succeed(stop.value)
             return
         except BaseException as exc:
             if tracer is not None:
-                tracer.on_process_end(self, sim._now)
+                tracer.on_process_end(self, sim.now)
             self.fail(exc)
             return
         if not isinstance(next_event, Event):

@@ -23,7 +23,7 @@ from repro.infra.site import ResourceProvider, SiteDownError
 from repro.infra.submission import GramSubmitter, LoginSubmitter
 from repro.infra.workflow import TaskGraph, WorkflowEngine
 from repro.sim import AllOf, AnyOf, RandomStreams, Simulator
-from repro.sim.distributions import bounded_lognormal, log2_cores
+from repro.sim.distributions import bounded_lognormal, log2_cores, uniform
 from repro.users.population import Population, User
 from repro.users.profiles import DEFAULT_PROFILES, BehaviorProfile
 
@@ -180,10 +180,10 @@ def sample_job(
     will_fail = bool(rng.random() < profile.failure_prob)
     if will_fail:
         # Failures happen early in the run.
-        runtime *= float(rng.uniform(0.02, 0.5))
+        runtime *= uniform(rng, 0.02, 0.5)
         runtime = max(runtime, 10.0)
     if rng.random() < profile.underestimate_prob:
-        walltime = runtime * float(rng.uniform(0.5, 0.95))
+        walltime = runtime * uniform(rng, 0.5, 0.95)
     else:
         walltime = runtime * profile.walltime_pad
     return Job(
@@ -443,7 +443,7 @@ def batch_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
                 yield _submit_and_wait(
                     ctx, rng, user, site, job, porting_profile.modality
                 )
-                yield ctx.sim.timeout(float(rng.uniform(60.0, 600.0)))
+                yield ctx.sim.timeout(uniform(rng, 60.0, 600.0))
             continue
         lo, hi = profile.jobs_per_session
         n_jobs = int(rng.integers(lo, hi + 1))
@@ -473,7 +473,7 @@ def exploratory_user(ctx: SimulationContext, user: User, profile: BehaviorProfil
             )
             yield _submit_and_wait(ctx, rng, user, site, job, profile.modality)
             # look at the output, tweak, resubmit
-            yield ctx.sim.timeout(float(rng.uniform(60.0, 600.0)))
+            yield ctx.sim.timeout(uniform(rng, 60.0, 600.0))
 
 
 def gateway_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
@@ -483,7 +483,7 @@ def gateway_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
     gateway = ctx.gateways[user.gateway]
     if ctx.gateway_adoption_ramp > 0:
         # This user discovers the gateway partway through the campaign.
-        yield ctx.sim.timeout(float(rng.uniform(0, ctx.gateway_adoption_ramp)))
+        yield ctx.sim.timeout(uniform(rng, 0.0, ctx.gateway_adoption_ramp))
     while True:
         yield _think(ctx, rng, profile.think_time_mean)
         site = _session_site(ctx, rng, user)
@@ -563,7 +563,7 @@ def ensemble_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
                         ctx, rng, user, site, job, profile.modality
                     )
                 )
-                yield ctx.sim.timeout(float(rng.uniform(5.0, 60.0)))
+                yield ctx.sim.timeout(uniform(rng, 5.0, 60.0))
             yield AllOf(ctx.sim, waits)
 
 

@@ -32,7 +32,7 @@ from repro.infra.queues import QueueSet
 from repro.infra.scheduler.base import BatchScheduler
 from repro.infra.units import DAY, HOUR, MINUTE, WEEK
 from repro.sim import Simulator
-from repro.sim.distributions import bounded_lognormal, log2_cores
+from repro.sim.distributions import bounded_lognormal, log2_cores, uniform
 
 __all__ = [
     "ReplayResult",
@@ -83,7 +83,7 @@ def single_site_workload(
                     user=f"u{int(rng.integers(40))}",
                     account="acct",
                     cores=cores,
-                    walltime=runtime * float(rng.uniform(*walltime_pad)),
+                    walltime=runtime * uniform(rng, *walltime_pad),
                     true_runtime=runtime,
                     job_id=sim.next_id("job"),
                 ),
@@ -109,7 +109,7 @@ def hero_arrivals(
         t += rng.exponential(1.0 / rate)
         if t >= horizon:
             break
-        runtime = float(rng.uniform(4 * HOUR, 10 * HOUR))
+        runtime = uniform(rng, 4 * HOUR, 10 * HOUR)
         jobs.append(
             (
                 t,

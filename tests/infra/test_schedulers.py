@@ -293,6 +293,26 @@ def test_easy_head_not_delayed_by_backfill():
     assert j2.start_time == 100.0
 
 
+def test_easy_scan_stops_once_a_backfill_fills_the_machine():
+    """Once a backfilled start leaves no node free, the scan asks
+    ``can_start_now`` about no further candidate."""
+    sim, sched = make_rig(EasyBackfillScheduler, nodes=4)
+    sched.submit(job(2, walltime=100.0))  # 2 nodes busy until t=100
+    sched.suspend()
+    head = sched.submit(job(4, walltime=10.0))  # blocked until t=100
+    fill = sched.submit(job(2, walltime=50.0))  # ends before the shadow
+    for _ in range(2):
+        sched.submit(job(1, walltime=50.0))
+    asked = []
+    can_start_now = sched.can_start_now
+    sched.can_start_now = lambda candidate: (
+        asked.append(candidate) or can_start_now(candidate)
+    )
+    sched.resume()
+    assert fill.start_time == 0.0
+    assert asked == [head, fill]
+
+
 def test_priority_reorders_queue():
     sim, sched = make_rig(EasyBackfillScheduler, nodes=1)
     blocker = job(1, walltime=100.0)
@@ -338,6 +358,34 @@ def test_reservation_admits_matching_job():
     sim.run()
     assert special.start_time == 0.0
     assert other.start_time == 200.0  # waits out the reserved window
+
+
+@pytest.mark.parametrize(
+    "start, builds, fits",
+    [
+        (0.0, 0, False),  # in force now: refused without a profile
+        (50.0, 0, False),  # opens inside the window: refused without a profile
+        (100.0 - 5e-10, 1, True),  # inside the window's end epsilon
+        (100.0, 1, True),  # opens as the window ends
+        (150.0, 0, True),  # beyond the window: not asked
+    ],
+)
+def test_a_reservation_that_alone_blocks_refuses_without_a_profile(
+    start, builds, fits
+):
+    """A reservation the job may not use, leaving it too few nodes, answers
+    ``can_start_now`` without a profile exactly when a profile would count
+    it in the job's window ``[0, 100)``; the answer is the profile's."""
+    sim, sched = make_rig(FcfsScheduler, nodes=4)
+    sched.suspend()  # keep the job queued
+    sched.add_reservation(Reservation(start=start, end=start + 10.0, nodes=1))
+    j = sched.submit(job(4, walltime=100.0))
+    expected = sched.build_profile(j).available_during(0.0, 100.0) >= 4
+    built = []
+    build_profile = sched.build_profile
+    sched.build_profile = lambda for_job: built.append(1) or build_profile(for_job)
+    assert sched.can_start_now(j) is expected is fits
+    assert len(built) == builds
 
 
 def test_reservation_validation():
@@ -431,6 +479,24 @@ def test_capability_job_waits_for_window():
     sim.run(until=2 * WEEK)
     assert hero.state is JobState.COMPLETED
     assert hero.start_time == 5 * DAY  # start of the first window
+
+
+def test_a_job_at_exactly_the_capability_threshold_waits_for_window():
+    """The threshold is inclusive: a job of exactly ``capability_fraction``
+    of the machine is a capability job, held back until the window."""
+    sim, sched = make_rig(
+        WeeklyDrainScheduler,
+        nodes=4,
+        capability_fraction=0.5,
+        window=1 * DAY,
+        period=WEEK,
+        first_window=5 * DAY,
+    )
+    hero = sched.submit(job(2, walltime=6 * HOUR))
+    small = sched.submit(job(1, walltime=6 * HOUR))
+    sim.run(until=2 * WEEK)
+    assert small.start_time == 0.0
+    assert hero.start_time == 5 * DAY
 
 
 def test_normal_jobs_do_not_cross_window():

@@ -434,3 +434,53 @@ def test_wheel_equivalence_over_random_delays(ticks):
     """Property: process waiters fire in (time, schedule order) order."""
     delays = [t * QUARTER_HOUR for t in ticks]
     assert _firing_order(delays) == _sorted_reference(delays)
+
+
+# -- NaN times ------------------------------------------------------------------
+# NaN compares false with everything, so a `delay < 0` check let it through:
+# a NaN timeout fired after the last finite event and left the clock at NaN.
+
+NAN = float("nan")
+
+
+def test_nan_timeout_delay_rejected():
+    sim = Simulator()
+    for delay in (1.0, 2.0, 3.0, 5.0):
+        sim.timeout(delay)
+    with pytest.raises(ValueError):
+        sim.timeout(NAN)
+    sim.run()
+    assert sim.now == 5.0
+    assert len(sim) == 0
+
+
+@pytest.mark.parametrize("trigger", ["succeed", "fail"])
+def test_nan_event_delay_rejected(trigger):
+    sim = Simulator()
+    event = sim.event()
+    with pytest.raises(SimulationError):
+        if trigger == "succeed":
+            event.succeed("value", delay=NAN)
+        else:
+            event.fail(RuntimeError("boom"), delay=NAN)
+    assert len(sim) == 0
+
+
+def test_nan_start_time_rejected():
+    with pytest.raises(SimulationError):
+        Simulator(start_time=NAN)
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator()
+    sim.timeout(1.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=NAN)
+    assert sim.now == 0.0
+    assert sim.peek() == 1.0
+
+
+def test_the_clock_is_a_plain_attribute():
+    sim = Simulator(start_time=3.0)
+    assert vars(sim)["now"] == 3.0
+    assert "now" not in vars(Simulator)
